@@ -11,8 +11,7 @@ from typing import Dict
 
 import numpy as np
 
-from .session import (NO_RTP, MediaClass, PacketColumns, PacketRecord,
-                      Session)
+from .session import MEDIA_CODE, NO_RTP, MediaClass
 
 DEFAULT_VMIN = 500
 KEEPALIVE_LEN = 304
@@ -64,18 +63,19 @@ class PayloadTypeMap:
         return self.mapping.get(payload_type, MediaClass.OTHER)
 
     def classify(self, rtp_pt, payload_len):
-        """MediaClass per packet as an object array, from int64 columns.
+        """MEDIA_CODE per packet, from int64 columns.
 
         rtp_pt is NO_RTP for packets without RTP; those map to other, and
         so do retransmission packets of exactly the keep-alive length, which
         carry no media.
         """
-        out = np.full(len(rtp_pt), MediaClass.OTHER, dtype=object)
+        other = MEDIA_CODE[MediaClass.OTHER]
+        out = np.full(len(rtp_pt), other, dtype=np.int64)
         for pt, cls in self.mapping.items():
-            out[rtp_pt == pt] = cls
-        out[rtp_pt == NO_RTP] = MediaClass.OTHER
-        out[(out == MediaClass.VIDEO_RETX)
-            & (payload_len == self.keepalive_len)] = MediaClass.OTHER
+            out[rtp_pt == pt] = MEDIA_CODE[cls]
+        out[rtp_pt == NO_RTP] = other
+        out[(out == MEDIA_CODE[MediaClass.VIDEO_RETX])
+            & (payload_len == self.keepalive_len)] = other
         return out
 
     def payload_type_for(self, cls):
@@ -101,19 +101,11 @@ def load_payload_type_map(path, vca=None):
     return PayloadTypeMap(mapping)
 
 
-def _tagged(session, classes):
-    packets = [PacketRecord(p.arrival_us, p.src_ip, p.dst_ip, p.src_port,
-                            p.dst_port, p.payload_len, p.rtp, cls)
-               for p, cls in zip(session.packets, classes)]
-    return Session(session.session_id, session.vca_label, packets)
-
-
 def classify_by_size(session, threshold=SizeThreshold()):
     """Tag packets >= v_min bytes as video; everything else as other."""
-    return _tagged(session, [
-        MediaClass.VIDEO if threshold.is_video(p.payload_len)
-        else MediaClass.OTHER
-        for p in session.packets])
+    video = threshold.is_video(session.columns.payload_len)
+    return session.classified(np.where(video, MEDIA_CODE[MediaClass.VIDEO],
+                                       MEDIA_CODE[MediaClass.OTHER]))
 
 
 def classify_by_payload_type(session, ptmap=None):
@@ -122,24 +114,20 @@ def classify_by_payload_type(session, ptmap=None):
     Packets without RTP map to other; retransmission packets of exactly the
     keep-alive length carry no media and also map to other.
     """
-    ptmap = ptmap or PayloadTypeMap()
-    cols = PacketColumns.of(session.packets)
-    return _tagged(session,
-                   ptmap.classify(cols.rtp_pt, cols.payload_len).tolist())
+    cols = session.columns
+    return session.classified(
+        (ptmap or PayloadTypeMap()).classify(cols.rtp_pt, cols.payload_len))
 
 
 def fit_vmin(labeled):
     """Fit the size threshold as the midpoint between the largest audio and
     smallest video packet of a payload-type-labeled session."""
-    audio_max = None
-    video_min = None
-    for p in labeled.packets:
-        if p.media_class is MediaClass.AUDIO:
-            audio_max = p.payload_len if audio_max is None else max(audio_max, p.payload_len)
-        elif p.media_class is MediaClass.VIDEO:
-            video_min = p.payload_len if video_min is None else min(video_min, p.payload_len)
-    if audio_max is None or video_min is None:
+    cols = labeled.columns
+    audio = cols.payload_len[cols.media_class == MEDIA_CODE[MediaClass.AUDIO]]
+    video = cols.payload_len[cols.media_class == MEDIA_CODE[MediaClass.VIDEO]]
+    if not len(audio) or not len(video):
         raise MissingClass("need both audio and video packets")
+    audio_max, video_min = int(audio.max()), int(video.min())
     if audio_max >= video_min:
         raise OverlappingRanges(
             f"audio max {audio_max} >= video min {video_min}")
@@ -164,14 +152,13 @@ class MediaConfusion:
 def classification_report(predicted, truth):
     """Confusion matrix of size-based predictions against payload-type
     truth, collapsed to video vs non-video."""
-    if len(predicted.packets) != len(truth.packets):
-        raise LengthMismatch(
-            f"{len(predicted.packets)} != {len(truth.packets)} packets")
-    counts = [[0, 0], [0, 0]]
-    for p, t in zip(predicted.packets, truth.packets):
-        actual = 1 if t.media_class is MediaClass.VIDEO else 0
-        pred = 1 if p.media_class is MediaClass.VIDEO else 0
-        counts[actual][pred] += 1
+    if len(predicted) != len(truth):
+        raise LengthMismatch(f"{len(predicted)} != {len(truth)} packets")
+    video = MEDIA_CODE[MediaClass.VIDEO]
+    actual = truth.columns.media_class == video
+    pred = predicted.columns.media_class == video
+    counts = [[int((row & ~pred).sum()), int((row & pred).sum())]
+              for row in (~actual, actual)]
     totals = [sum(row) for row in counts]
     percent = [[(100.0 * c / tot if tot else 0.0) for c in row]
                for row, tot in zip(counts, totals)]

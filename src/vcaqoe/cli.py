@@ -16,8 +16,8 @@ from .assembly import IpUdpAssemblyParams
 from .classify import (ClassifyError, PayloadTypeMap, SizeThreshold,
                        classification_report, classify_by_payload_type,
                        classify_by_size, fit_vmin, load_payload_type_map)
-from .evaluation import (EvalError, binning_for_heights, evaluate_metric,
-                         resolution_confusion)
+from .evaluation import (EvalError, ResolutionBinning, binning_for_heights,
+                         evaluate_metric, resolution_confusion)
 from .features import IPUDP_FEATURE_NAMES, RTP_FEATURE_NAMES, SemanticParams, \
     session_feature_rows
 from .forest import (ForestError, RandomForestClassifier,
@@ -35,10 +35,12 @@ from . import sweeps
 
 INPUT_ERRORS = (IngestError, ClassifyError, EvalError, ForestError,
                 InvalidProfile, RtpError, DimensionMismatch, NonFiniteInput,
-                FileNotFoundError, NotADirectoryError, ValueError)
+                FileNotFoundError, NotADirectoryError, ValueError,
+                argparse.ArgumentTypeError)
 
 TARGET_COLUMNS = {"fps": "fps", "bitrate": "bitrate_kbps",
                   "jitter": "frame_jitter_ms", "resolution": "frame_height"}
+PREDICTION_HEADER = ["session_id", "window_start", "prediction"]
 
 
 def _read_session(path, vca=""):
@@ -126,12 +128,19 @@ def cmd_analyze(args):
 # -------------------------------------------------------------- features
 
 def _session_truth_pairs(inputs, truth_path):
-    """Expand inputs (files or corpus dirs) into (packets, truth) paths."""
+    """Expand inputs (files or corpus dirs) into (packets, truth) paths.
+
+    A directory contributes its <stem>.packets.csv and <stem>.pcap files,
+    each with <stem>.truth.csv when that exists.
+    """
     pairs = []
     for item in inputs:
         if os.path.isdir(item):
-            for pk in sorted(glob.glob(os.path.join(item, "*.packets.csv"))):
-                t = pk[:-len(".packets.csv")] + ".truth.csv"
+            found = []
+            for suffix in (".packets.csv", ".pcap"):
+                found += [(pk, pk[:-len(suffix)] + ".truth.csv") for pk in
+                          glob.glob(os.path.join(item, "*" + suffix))]
+            for pk, t in sorted(found):
                 pairs.append((pk, t if os.path.exists(t) else None))
         else:
             pairs.append((item, truth_path))
@@ -232,48 +241,64 @@ def cmd_predict(args):
             f"feature CSV columns {names} do not match model features")
     preds = model.predict(X)
     rows = [[s, w, p] for s, w, p in zip(_sessions, windows, preds)]
-    _atomic_write_csv(args.output, ["session_id", "window_start",
-                                    "prediction"], rows)
+    _atomic_write_csv(args.output, PREDICTION_HEADER, rows)
     return 0
 
 
 # -------------------------------------------------------------- evaluate
 
-def _read_series_csv(path, metric_col):
-    """Read either a truth-schema CSV or a prediction CSV into
-    {t_sec: value}."""
+def _read_series_csv(path, metric_col, session_id):
+    """{window_start: value} of one session, from a truth-schema CSV or from
+    the session's rows of a prediction CSV (values kept as strings).
+
+    A prediction row belongs to the session when its session_id, less a
+    ".pcap" suffix (read_pcap names a session after its file), is
+    session_id."""
     with open(path, newline="") as fh:
         header = fh.readline().strip().split(",")
-    if header == ["session_id", "window_start", "prediction"]:
+    if header == PREDICTION_HEADER:
         out = {}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
             for row in reader:
-                if row:
-                    out[int(row[1])] = float(row[2])
+                if row and row[0].removesuffix(".pcap") == session_id:
+                    out[int(row[1])] = row[2]
         return out
     truth = read_ground_truth_csv(path)
     return {r.window_start: getattr(r, metric_col) for r in truth.rows}
 
 
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def cmd_evaluate(args):
     col = TARGET_COLUMNS[args.metric]
-    pred = _read_series_csv(args.pred, col)
-    truth = _read_series_csv(args.truth, col)
+    session_id = os.path.basename(args.truth).removesuffix(".csv")
+    session_id = session_id.removesuffix(".truth")
+    pred = _read_series_csv(args.pred, col, session_id)
+    truth = _read_series_csv(args.truth, col, session_id)
     keys = sorted(set(pred) & set(truth))
+    if not keys:
+        raise EvalError(f"no prediction for a window of session {session_id}")
     if args.metric == "resolution":
         heights = [int(truth[k]) for k in keys
                    if truth[k] is not None and truth[k] > 0]
-        binning = binning_for_heights(heights)
+        labels = [pred[k] for k in keys if pred[k] is not None]
+        binning = (binning_for_heights(heights)
+                   if all(map(_is_number, labels)) else ResolutionBinning())
         pc, tc = [], []
         for k in keys:
-            t = truth[k]
-            if t is None or t <= 0:
+            t, p = truth[k], pred[k]
+            if t is None or t <= 0 or p is None:
                 continue
-            p = pred[k]
-            pc.append(p if isinstance(p, str) and not p.lstrip("-").isdigit()
-                      else binning.classify(int(float(p))))
+            pc.append(binning.classify(int(float(p))) if _is_number(p)
+                      else p)
             tc.append(binning.classify(int(t)))
         cm = resolution_confusion(pc, tc, binning)
         doc = {"metric": "resolution", "classes": cm.classes,
@@ -320,6 +345,13 @@ def cmd_sweep(args):
 
 # ---------------------------------------------------------------- parser
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="vcaqoe",
@@ -363,7 +395,7 @@ def build_parser():
     p.add_argument("--delta", type=int, default=2)
     p.add_argument("--lookback", type=int, default=2)
     p.add_argument("--vmin", type=int, default=500)
-    p.add_argument("--window", type=int, default=1)
+    p.add_argument("--window", type=_positive_int, default=1)
     p.add_argument("--vca", default="")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_analyze)
@@ -372,7 +404,7 @@ def build_parser():
     p.add_argument("inputs", nargs="+",
                    help="packet CSV/pcap files or corpus directories")
     p.add_argument("--set", choices=["ipudp", "rtp"], default="ipudp")
-    p.add_argument("--window", type=int, default=1)
+    p.add_argument("--window", type=_positive_int, default=1)
     p.add_argument("--vmin", type=int, default=500)
     p.add_argument("--theta-iat", type=float, default=3.0)
     p.add_argument("--truth", help="truth CSV for single-file input")
@@ -424,6 +456,8 @@ def _apply_config(parser, argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = argv[i + 1]
     defaults = {}
     with open(path) as fh:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble_rtp
-from .classify import PayloadTypeMap
-from .session import MICROS_PER_S, MediaClass
+# assemble_rtp stays importable here: bench/tracing.py wraps it
+from .assembly import assemble_rtp, rtp_frame_table  # noqa: F401
+from .session import MEDIA_CODE, MICROS_PER_S, NO_RTP, MediaClass
 
 FLOW_FEATURES = [
     "bytes_per_s", "pkts_per_s",
@@ -60,108 +60,78 @@ def _five_stats(values):
             float(a.min()), float(a.max())]
 
 
-def flow_stats(window_packets, w=1.0):
-    """12 flow-level statistics over one window of video packets."""
-    n = len(window_packets)
+def flow_stats(window, w=1.0):
+    """12 flow-level statistics over one window of video packets
+    (PacketColumns, in arrival order)."""
+    n = len(window)
     if n == 0:
         return [0.0] * 12
-    sizes = [p.payload_len for p in window_packets]
-    out = [sum(sizes) / w, n / w]
+    sizes = window.payload_len
+    out = [int(sizes.sum()) / w, n / w]
     out += _five_stats(sizes)
     if n < 2:
         out += [0.0] * 5
     else:
-        arrivals = np.array([p.arrival_us for p in window_packets],
-                            dtype=np.int64)
-        iats = np.diff(arrivals) / MICROS_PER_S
-        out += _five_stats(iats)
+        out += _five_stats(np.diff(window.arrival_us) / MICROS_PER_S)
     return out
 
 
-def semantic_features(window_packets, params=SemanticParams()):
-    """Unique packet-size count and microburst count for one window."""
-    n = len(window_packets)
-    if n == 0:
+def semantic_features(window, params=SemanticParams()):
+    """Unique packet-size count and microburst count for one window of
+    video packets (PacketColumns, in arrival order)."""
+    if len(window) == 0:
         return (0.0, 0.0)
-    n_unique = len({p.payload_len for p in window_packets})
-    theta_us = params.theta_iat_ms * 1000.0
-    bursts = 1
-    prev = window_packets[0].arrival_us
-    for p in window_packets[1:]:
-        if p.arrival_us - prev >= theta_us:
-            bursts += 1
-        prev = p.arrival_us
-    return (float(n_unique), float(bursts))
+    bursts = 1 + int(np.count_nonzero(
+        np.diff(window.arrival_us) >= params.theta_iat_ms * 1000.0))
+    return (float(len(np.unique(window.payload_len))), float(bursts))
 
 
-def _ooo_count(video_packets):
-    count = 0
-    prev = None
-    for p in video_packets:
-        seq = p.rtp.sequence
-        if prev is not None:
-            raw = seq - prev
-            if raw < 0 and -raw <= SEQ_HALF_RANGE:
-                count += 1
-        prev = seq
-    return count
+def _ooo_count(seq):
+    """Backward steps of an RTP sequence-number column, modulo 2^16: a step
+    back by at most half the sequence space."""
+    step = (np.diff(seq) & 0xFFFF) >= SEQ_HALF_RANGE
+    return int(np.count_nonzero(step))
 
 
-def _signed_ts_delta(ts, ts0):
-    d = (ts - ts0) & 0xFFFFFFFF
-    if d >= 1 << 31:
-        d -= 1 << 32
-    return d
-
-
-def frame_lags(frames, origin, sampling_freq):
-    """Per-frame delay relative to the schedule implied by RTP timestamps.
+def frame_lags(end_us, rtp_ts, origin, sampling_freq):
+    """Per-frame delay in seconds relative to the schedule implied by RTP
+    timestamps, for frames ending at end_us with timestamps rtp_ts.
 
     origin is (end_us, rtp_ts) of the session's first video frame, which by
     construction has zero lag.
     """
     t0_us, ts0 = origin
-    lags = []
-    for f in frames:
-        ts = min(f.rtp_timestamps)
-        sched_us = t0_us + _signed_ts_delta(ts, ts0) * MICROS_PER_S / sampling_freq
-        lags.append((f.end_us - sched_us) / MICROS_PER_S)
-    return lags
+    delta = (np.asarray(rtp_ts, dtype=np.int64) - ts0) & 0xFFFFFFFF
+    delta[delta >= 1 << 31] -= 1 << 32
+    sched_us = t0_us + delta * MICROS_PER_S / sampling_freq
+    return (np.asarray(end_us, dtype=np.int64) - sched_us) / MICROS_PER_S
 
 
-def rtp_features(window_packets, params=SemanticParams(), ptmap=None,
-                 origin=None, window_frames=None):
+def rtp_features(window, lags=()):
     """RTP feature block for one window (12 values).
 
-    window_packets must be media-classified; the video and retransmission
-    streams are told apart by media_class. window_frames are the RTP frames
-    ending in this window (used for lag); origin anchors the lag schedule at
-    the session's first video frame.
+    window holds the window's media-classified packets (PacketColumns, in
+    arrival order); video and retransmission rows are told apart by
+    media_class. lags are the frame lags of the RTP frames ending in the
+    window.
     """
-    ptmap = ptmap or PayloadTypeMap()
-    video = [p for p in window_packets if p.media_class is MediaClass.VIDEO]
-    retx = [p for p in window_packets
-            if p.media_class is MediaClass.VIDEO_RETX]
-    for p in video + retx:
-        if p.rtp is None:
-            raise MissingRtp("RTP features need RTP headers")
-    ts_v = {p.rtp.timestamp for p in video}
-    ts_r = {p.rtp.timestamp for p in retx}
+    video = window.take(window.media_class == MEDIA_CODE[MediaClass.VIDEO])
+    retx = window.take(window.media_class
+                       == MEDIA_CODE[MediaClass.VIDEO_RETX])
+    if (video.rtp_ts == NO_RTP).any() or (retx.rtp_ts == NO_RTP).any():
+        raise MissingRtp("RTP features need RTP headers")
+    ts_v = np.unique(video.rtp_ts)
+    ts_r = np.unique(retx.rtp_ts)
     out = [float(len(ts_v)), float(len(ts_r)),
-           float(len(ts_v & ts_r)), float(len(ts_v | ts_r)),
-           float(sum(p.rtp.marker for p in video)),
-           float(sum(p.rtp.marker for p in retx)),
-           float(_ooo_count(video))]
-    if window_frames and origin is not None:
-        out += _five_stats(frame_lags(window_frames, origin,
-                                      params.sampling_freq))
-    else:
-        out += [0.0] * 5
-    return out
+           float(len(np.intersect1d(ts_v, ts_r, assume_unique=True))),
+           float(len(np.union1d(ts_v, ts_r))),
+           float(video.rtp_marker.sum()), float(retx.rtp_marker.sum()),
+           float(_ooo_count(video.rtp_seq))]
+    return out + _five_stats(lags)
 
 
 def session_feature_rows(session, feature_set="ipudp", w=1,
-                         params=SemanticParams(), ptmap=None):
+                         params=SemanticParams()):
     """Per-window feature vectors for a media-classified session.
 
     Returns (window_starts, matrix) covering every w-second window between
@@ -172,43 +142,40 @@ def session_feature_rows(session, feature_set="ipudp", w=1,
         raise ValueError(f"unknown feature set {feature_set!r}")
     w = int(w)
     wus = w * MICROS_PER_S
-    video = session.video_packets()
-    if not video:
+    cols = session.columns
+    is_video = cols.media_class == MEDIA_CODE[MediaClass.VIDEO]
+    if not is_video.any():
         return [], np.zeros((0, len(IPUDP_FEATURE_NAMES
                                     if feature_set == "ipudp"
                                     else RTP_FEATURE_NAMES)))
-
-    first_key = (video[0].arrival_us // wus) * w
-    last_key = (video[-1].arrival_us // wus) * w
+    video = cols.take(is_video)
+    first_key = int(video.arrival_us[0]) // wus * w
+    last_key = int(video.arrival_us[-1]) // wus * w
     keys = list(range(first_key, last_key + w, w))
-    by_window = {k: [] for k in keys}
-    for p in video:
-        by_window[(p.arrival_us // wus) * w].append(p)
+    # window i holds the arrivals in [edges[i], edges[i + 1])
+    edges = np.arange(first_key, last_key + 2 * w, w) * MICROS_PER_S
 
     if feature_set == "rtp":
-        retx = [p for p in session.packets
-                if p.media_class is MediaClass.VIDEO_RETX]
-        for p in retx:
-            k = (p.arrival_us // wus) * w
-            if k in by_window:
-                by_window[k].append(p)
-        frames = assemble_rtp(video)
-        origin = (frames[0].end_us, min(frames[0].rtp_timestamps))
-        frames_by_window = {k: [] for k in keys}
-        for f in frames:
-            k = (f.end_us // wus) * w
-            if k in frames_by_window:
-                frames_by_window[k].append(f)
+        frames = rtp_frame_table(video)
+        frame_ts = video.rtp_ts[frames.members[frames.lo]]
+        lags = frame_lags(frames.end_us, frame_ts,
+                          (int(frames.end_us[0]), int(frame_ts[0])),
+                          params.sampling_freq)
+        lag_cut = np.searchsorted(frames.end_us, edges).tolist()
+        media = cols.take(is_video | (
+            cols.media_class == MEDIA_CODE[MediaClass.VIDEO_RETX]))
+        media_cut = np.searchsorted(media.arrival_us, edges).tolist()
+    video_cut = np.searchsorted(video.arrival_us, edges).tolist()
 
     rows = []
-    for k in keys:
-        pkts = sorted(by_window.get(k, []), key=lambda p: p.arrival_us)
-        vid = [p for p in pkts if p.media_class is MediaClass.VIDEO]
+    for i in range(len(keys)):
+        vid = video.take(slice(video_cut[i], video_cut[i + 1]))
         row = flow_stats(vid, float(w))
         if feature_set == "ipudp":
-            row += list(semantic_features(vid, params))
+            row += semantic_features(vid, params)
         else:
-            row += rtp_features(pkts, params, ptmap, origin,
-                                frames_by_window.get(k, []))
+            row += rtp_features(
+                media.take(slice(media_cut[i], media_cut[i + 1])),
+                lags[lag_cut[i]:lag_cut[i + 1]])
         rows.append(row)
     return keys, np.asarray(rows, dtype=np.float64)

@@ -11,10 +11,13 @@ import math
 import os
 import struct
 import tempfile
+import warnings
 from dataclasses import dataclass
 
-from .session import (MICROS_PER_S, MediaClass, PacketRecord, QoeWindow,
-                      RtpError, RtpHeader, Session, parse_rtp_header,
+import numpy as np
+
+from .session import (MICROS_PER_S, NO_CLASS, NO_RTP, RTP_FIXED_HEADER_LEN,
+                      PacketColumns, QoeWindow, RecordFields, Session,
                       serialize_rtp_header)
 
 PACKET_CSV_HEADER = ["ts_us", "src_ip", "dst_ip", "src_port", "dst_port",
@@ -86,9 +89,12 @@ class AlignedPair:
 def read_pcap(path, session_id=None, vca_label=""):
     """Read a classic pcap file into a Session of IPv4/UDP packets.
 
-    Non-IPv4 and non-UDP packets are skipped and counted on the returned
-    session as ``skipped_count``. RTP parsing is attempted on every UDP
-    payload and attached when it succeeds.
+    Non-IPv4 and non-UDP packets, and IPv4 fragments other than the first,
+    are skipped and counted on the returned session as ``skipped_count``.
+    RTP parsing is attempted on every UDP payload and attached when it
+    succeeds. The walk over the record headers is the only per-packet
+    Python step; the header fields are gathered from the file's bytes as
+    numpy columns.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -108,62 +114,102 @@ def read_pcap(path, session_id=None, vca_label=""):
     if network != LINKTYPE_ETHERNET:
         raise UnsupportedLinkType(f"link type {network} != Ethernet(1)")
 
-    packets = []
-    skipped = 0
+    starts = []     # offset of each record's captured bytes
+    append = starts.append
+    incl_len = struct.Struct(endian + "I").unpack_from
+    end = len(data)
     off = 24
-    while off < len(data):
-        if off + 16 > len(data):
-            raise Truncated("record header incomplete")
-        ts_sec, ts_frac, incl_len, _orig = struct.unpack_from(
-            endian + "IIII", data, off)
-        off += 16
-        if off + incl_len > len(data):
-            raise Truncated("record shorter than declared length")
-        buf = data[off:off + incl_len]
-        off += incl_len
-        arrival_us = ts_sec * MICROS_PER_S + (ts_frac // 1000 if nanos else ts_frac)
-        rec = _decode_ethernet_ipv4_udp(buf, arrival_us)
-        if rec is None:
-            skipped += 1
-        else:
-            packets.append(rec)
-    if not packets:
+    while off + 16 <= end:
+        append(off + 16)
+        off += 16 + incl_len(data, off + 8)[0]
+    if off > end:
+        raise Truncated("record shorter than declared length")
+    if off < end:
+        raise Truncated("record header incomplete")
+
+    rec = np.array(starts, dtype=np.int64)
+    arrival_us = _gather(data, rec - 16, endian + "u4") * MICROS_PER_S
+    frac = _gather(data, rec - 12, endian + "u4")
+    arrival_us += frac // 1000 if nanos else frac
+    caplen = _gather(data, rec - 8, endian + "u4")
+
+    # Ethernet/IPv4/UDP with the whole UDP header captured; a fragment
+    # with a non-zero offset carries no UDP header
+    ok = caplen >= 14 + 20 + 8
+    rec, caplen, arrival_us = rec[ok], caplen[ok], arrival_us[ok]
+    vihl = _gather(data, rec + 14, "u1")
+    udp = rec + 14 + (vihl & 0x0F) * 4
+    ok = ((_gather(data, rec + 12, ">u2") == 0x0800) & (vihl >> 4 == 4)
+          & (_gather(data, rec + 23, "u1") == 17)
+          & (_gather(data, rec + 20, ">u2") & 0x1FFF == 0)
+          & (udp + 8 <= rec + caplen))
+    if not ok.any():
         raise Empty("no IPv4/UDP packets in capture")
-    packets.sort(key=lambda p: p.arrival_us)
-    sess = Session(session_id or os.path.basename(path), vca_label, packets)
-    sess.skipped_count = skipped
+    rec, caplen, arrival_us, udp = rec[ok], caplen[ok], arrival_us[ok], udp[ok]
+    payload = udp + 8
+    payload_len = np.maximum(0, _gather(data, udp + 4, ">u2") - 8)
+    rtp = _rtp_columns(data, payload,
+                       np.minimum(payload_len, rec + caplen - payload))
+
+    order = np.argsort(arrival_us, kind="stable")
+    rec, udp, payload, payload_len, arrival_us = (
+        a[order] for a in (rec, udp, payload, payload_len, arrival_us))
+    rtp = {name: col[order] for name, col in rtp.items()}
+    cols = PacketColumns(arrival_us, payload_len, rtp["pt"], rtp["ts"],
+                         rtp["marker"], rtp["seq"],
+                         np.full(len(order), NO_CLASS, dtype=np.int64))
+    csrc_rows = np.flatnonzero((rtp["pt"] != NO_RTP)
+                               & (rtp["b0"] & 0x0F > 0)).tolist()
+    fields = RecordFields(
+        _gather(data, rec + 26, ">u4"), _gather(data, rec + 30, ">u4"),
+        _gather(data, udp, ">u2"), _gather(data, udp + 2, ">u2"),
+        rtp["ssrc"], rtp["b0"], rtp["header_len"],
+        {i: struct.unpack_from(f">{rtp['b0'][i] & 0x0F}I", data,
+                               payload[i] + RTP_FIXED_HEADER_LEN)
+         for i in csrc_rows})
+    sess = Session(session_id or os.path.basename(path), vca_label,
+                   columns=cols, records=fields.records)
+    sess.skipped_count = len(starts) - len(order)
     return sess
 
 
-def _decode_ethernet_ipv4_udp(buf, arrival_us):
-    if len(buf) < 14 + 20 + 8:
-        return None
-    ethertype, = struct.unpack_from(">H", buf, 12)
-    if ethertype != 0x0800:
-        return None
-    ip_off = 14
-    vihl = buf[ip_off]
-    if vihl >> 4 != 4:
-        return None
-    ihl = (vihl & 0x0F) * 4
-    proto = buf[ip_off + 9]
-    if proto != 17:
-        return None
-    src_ip = ".".join(str(b) for b in buf[ip_off + 12:ip_off + 16])
-    dst_ip = ".".join(str(b) for b in buf[ip_off + 16:ip_off + 20])
-    udp_off = ip_off + ihl
-    if len(buf) < udp_off + 8:
-        return None
-    src_port, dst_port, udp_len, _cksum = struct.unpack_from(">HHHH", buf, udp_off)
-    payload_len = max(0, udp_len - 8)
-    payload = buf[udp_off + 8:udp_off + 8 + payload_len]
-    rtp = None
-    try:
-        rtp = parse_rtp_header(payload)
-    except RtpError:
-        pass
-    return PacketRecord(arrival_us, src_ip, dst_ip, src_port, dst_port,
-                        payload_len, rtp)
+def _gather(data, offsets, dtype):
+    """The values of a fixed-size dtype stored at byte offsets of data, as
+    int64."""
+    dtype = np.dtype(dtype)
+    at_every_byte = np.ndarray((len(data) - dtype.itemsize + 1,), dtype,
+                               buffer=data, strides=(1,))
+    return at_every_byte[offsets].astype(np.int64)
+
+
+def _rtp_columns(data, start, length):
+    """RTP header columns of the payloads of length[i] captured bytes at
+    start[i], NO_RTP where a payload holds no header under the rule of
+    parse_rtp_header: version 2, at least 12 bytes, and the CSRC list and
+    extension block inside the captured bytes. b0 is the header's first
+    byte."""
+    cols = {name: np.full(len(start), NO_RTP, dtype=np.int64) for name in (
+        "pt", "seq", "ts", "marker", "ssrc", "b0", "header_len")}
+    i = np.flatnonzero(length >= RTP_FIXED_HEADER_LEN)
+    p, have = start[i], length[i]
+    b0 = _gather(data, p, "u1")
+    header_len = RTP_FIXED_HEADER_LEN + 4 * (b0 & 0x0F)
+    ok = (b0 >> 6 == 2) & (have >= header_len)
+    ext = ok & (b0 & 0x10 > 0)
+    ok &= ~ext | (have >= header_len + 4)
+    ext &= ok
+    header_len[ext] += 4 + 4 * _gather(data, p[ext] + header_len[ext] + 2,
+                                       ">u2")
+    ok &= have >= header_len
+    i, p, b0, header_len = i[ok], p[ok], b0[ok], header_len[ok]
+    b1 = _gather(data, p + 1, "u1")
+    for name, values in (("pt", b1 & 0x7F), ("marker", b1 >> 7),
+                         ("seq", _gather(data, p + 2, ">u2")),
+                         ("ts", _gather(data, p + 4, ">u4")),
+                         ("ssrc", _gather(data, p + 8, ">u4")),
+                         ("b0", b0), ("header_len", header_len)):
+        cols[name][i] = values
+    return cols
 
 
 def write_pcap(session, path):
@@ -196,37 +242,73 @@ def write_pcap(session, path):
 
 def read_packet_csv(path, session_id=None, vca_label=""):
     """Read the packet CSV schema into a Session. RTP columns use -1 for
-    absent."""
-    packets = []
+    absent.
+
+    All rows are parsed in one numpy call; the file is scanned row by row
+    only to find the line of a row that does not parse.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader([fh.readline()]), None)
         if header != PACKET_CSV_HEADER:
             raise BadHeader(f"expected {','.join(PACKET_CSV_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                (ts_us, src_ip, dst_ip, src_port, dst_port, plen,
-                 pt, seq, ts, marker, ssrc) = row
-                ts_us = int(ts_us)
-                pt = int(pt)
-                rtp = None
-                if pt >= 0:
-                    rtp = RtpHeader(2, False, False, bool(int(marker)), 0,
-                                    pt, int(seq), int(ts), int(ssrc))
-                packets.append(PacketRecord(
-                    ts_us, src_ip, dst_ip, int(src_port), int(dst_port),
-                    int(plen), rtp))
-            except (ValueError, IndexError) as exc:
-                raise BadRow(line_no, str(exc)) from exc
-    if not packets:
+        try:
+            rows = _load_packet_rows(fh)
+        except ValueError:
+            line_no, msg = _first_bad_row(path)
+            raise BadRow(line_no, msg) from None
+    if not len(rows):
         raise Empty("no packet rows")
-    packets.sort(key=lambda p: p.arrival_us)
+    rows = rows[np.argsort(rows["ts_us"], kind="stable")]
+    has_rtp = rows["rtp_pt"] >= 0
+
+    def column(name, values=None):
+        return np.where(has_rtp, rows[name] if values is None else values,
+                        NO_RTP)
+
+    n = len(rows)
+    cols = PacketColumns(
+        np.ascontiguousarray(rows["ts_us"]),
+        np.ascontiguousarray(rows["udp_payload_len"]), column("rtp_pt"),
+        column("rtp_ts"), column("rtp_marker", rows["rtp_marker"] != 0),
+        column("rtp_seq"), np.full(n, NO_CLASS, dtype=np.int64))
+    fields = RecordFields(
+        rows["src_ip"], rows["dst_ip"], rows["src_port"], rows["dst_port"],
+        rows["rtp_ssrc"], np.full(n, 0x80, dtype=np.int64),
+        np.full(n, RTP_FIXED_HEADER_LEN, dtype=np.int64), {})
     if session_id is None:
         session_id = os.path.splitext(os.path.basename(path))[0]
         session_id = session_id.removesuffix(".packets")
-    return Session(session_id, vca_label, packets)
+    return Session(session_id, vca_label, columns=cols,
+                   records=fields.records)
+
+
+PACKET_ROW_DTYPE = np.dtype([(name, object if name.endswith("_ip")
+                              else np.int64)
+                             for name in PACKET_CSV_HEADER])
+
+
+def _load_packet_rows(lines):
+    """Packet CSV rows (no header) as a PACKET_ROW_DTYPE array; blank lines
+    are skipped. Raises ValueError on a row that does not parse."""
+    with warnings.catch_warnings():
+        # a file without rows is reported by the caller
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=PACKET_ROW_DTYPE, delimiter=",",
+                          comments=None, quotechar='"', ndmin=1)
+
+
+def _first_bad_row(path):
+    """(1-based line, message) of the first packet CSV row that does not
+    parse."""
+    with open(path, newline="") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line_no == 1:
+                continue
+            try:
+                _load_packet_rows([line])
+            except ValueError as exc:
+                return line_no, str(exc)
+    return line_no, "unparsable rows"
 
 
 def write_packet_csv(session, path):
@@ -291,8 +373,9 @@ def write_ground_truth_csv(rows, path):
 def session_interior_windows(session):
     """Epoch seconds fully covered by the session (partial edge seconds
     dropped)."""
-    first = session.packets[0].arrival_us // MICROS_PER_S
-    last = session.packets[-1].arrival_us // MICROS_PER_S
+    arrival_us = session.columns.arrival_us
+    first = int(arrival_us[0]) // MICROS_PER_S
+    last = int(arrival_us[-1]) // MICROS_PER_S
     return range(first + 1, last)
 
 
@@ -303,7 +386,7 @@ def align(session, truth, offset_s=0):
     span are rejected outright. Partial first/last session seconds are
     always excluded.
     """
-    if not session.packets or not truth.rows:
+    if not len(session) or not truth.rows:
         raise NoOverlap("empty input")
     t_first = truth.rows[0].window_start + offset_s
     t_last = truth.rows[-1].window_start + offset_s

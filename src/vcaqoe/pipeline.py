@@ -6,7 +6,8 @@ from .assembly import IpUdpAssemblyParams, ipudp_frame_table, rtp_frame_table
 from .classify import PayloadTypeMap, SizeThreshold
 from .heuristics import window_series
 from .ingest import session_interior_windows
-from .session import MediaClass, PacketColumns
+# PacketColumns stays importable here: bench/tracing.py wraps its `of`
+from .session import MEDIA_CODE, MediaClass, PacketColumns  # noqa: F401
 
 
 def analyze_session(session, method="ipudp", params=None, threshold=None,
@@ -21,7 +22,7 @@ def analyze_session(session, method="ipudp", params=None, threshold=None,
     """
     if method not in ("ipudp", "rtp"):
         raise ValueError(f"unknown method {method!r}")
-    cols = PacketColumns.of(session.packets)
+    cols = session.columns
     if method == "ipudp":
         video = cols.take((threshold or SizeThreshold()).is_video(
             cols.payload_len))
@@ -29,7 +30,8 @@ def analyze_session(session, method="ipudp", params=None, threshold=None,
     else:
         classes = (ptmap or PayloadTypeMap()).classify(cols.rtp_pt,
                                                        cols.payload_len)
-        frames = rtp_frame_table(cols.take(classes == MediaClass.VIDEO))
+        frames = rtp_frame_table(
+            cols.take(classes == MEDIA_CODE[MediaClass.VIDEO]))
     span = (int(cols.arrival_us[0]), int(cols.arrival_us[-1]))
     return window_series(frames.end_us, frames.size_bytes, w, span_us=span)
 

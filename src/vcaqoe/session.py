@@ -8,8 +8,10 @@ drifts.
 from __future__ import annotations
 
 import enum
+import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from operator import attrgetter
 from typing import Optional
 
@@ -137,24 +139,9 @@ class Frame:
         return self.end_us / MICROS_PER_S
 
 
-@dataclass
-class Session:
-    session_id: str
-    vca_label: str
-    packets: list
-
-    def __post_init__(self):
-        prev = -1
-        for p in self.packets:
-            if p.arrival_us < prev:
-                raise ValueError("packets must be sorted by arrival time")
-            prev = p.arrival_us
-
-    def __len__(self):
-        return len(self.packets)
-
-    def video_packets(self) -> list:
-        return [p for p in self.packets if p.media_class is MediaClass.VIDEO]
+MEDIA_CLASSES = tuple(MediaClass)   # media_class column value i is MEDIA_CLASSES[i]
+MEDIA_CODE = {cls: i for i, cls in enumerate(MEDIA_CLASSES)}
+NO_CLASS = -1   # media_class column value of a packet not yet classified
 
 
 @dataclass(frozen=True)
@@ -162,13 +149,16 @@ class PacketColumns:
     """int64 columns of a packet list, in list order.
 
     RTP fields hold NO_RTP for packets without an RTP header; rtp_marker
-    is 0 or 1 otherwise.
+    is 0 or 1 otherwise. media_class holds MEDIA_CODE values, NO_CLASS
+    for a packet not yet classified.
     """
     arrival_us: np.ndarray
     payload_len: np.ndarray
     rtp_pt: np.ndarray
     rtp_ts: np.ndarray
     rtp_marker: np.ndarray
+    rtp_seq: np.ndarray
+    media_class: np.ndarray
 
     @classmethod
     def of(cls, packets) -> "PacketColumns":
@@ -185,13 +175,134 @@ class PacketColumns:
                    np.fromiter(map(attrgetter("payload_len"), packets),
                                np.int64, n),
                    rtp_column("payload_type"), rtp_column("timestamp"),
-                   rtp_column("marker"))
+                   rtp_column("marker"), rtp_column("sequence"),
+                   np.fromiter((MEDIA_CODE.get(p.media_class, NO_CLASS)
+                                for p in packets), np.int64, n))
 
-    def take(self, mask) -> "PacketColumns":
-        """The rows selected by a boolean mask, order kept."""
-        return PacketColumns(self.arrival_us[mask], self.payload_len[mask],
-                             self.rtp_pt[mask], self.rtp_ts[mask],
-                             self.rtp_marker[mask])
+    def __len__(self):
+        return len(self.arrival_us)
+
+    def take(self, rows) -> "PacketColumns":
+        """The rows selected by a boolean mask or a slice, order kept."""
+        return PacketColumns(*(getattr(self, f.name)[rows]
+                               for f in fields(self)))
+
+
+@dataclass(frozen=True)
+class RecordFields:
+    """The per-packet values that only the PacketRecord view reads, row
+    for row with a reader's columns.
+
+    Addresses are dotted-quad strings, or IPv4 addresses as integers.
+    The RTP values are read on RTP rows only: rtp_b0 is the header's
+    first byte (padding, extension and CSRC count bits), rtp_csrcs maps
+    the rows that carry a CSRC list to it.
+    """
+    src_ip: np.ndarray
+    dst_ip: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    rtp_ssrc: np.ndarray
+    rtp_b0: np.ndarray
+    rtp_header_len: np.ndarray
+    rtp_csrcs: dict
+
+    def records(self, cols) -> list:
+        """One PacketRecord per row of cols."""
+        csrcs = self.rtp_csrcs
+        out = []
+        for i, (arrival, src_ip, dst_ip, src_port, dst_port, plen, pt, seq,
+                ts, marker, ssrc, b0, header_len, code) in enumerate(zip(
+                    cols.arrival_us.tolist(), _addresses(self.src_ip),
+                    _addresses(self.dst_ip), self.src_port.tolist(),
+                    self.dst_port.tolist(), cols.payload_len.tolist(),
+                    cols.rtp_pt.tolist(), cols.rtp_seq.tolist(),
+                    cols.rtp_ts.tolist(), cols.rtp_marker.tolist(),
+                    self.rtp_ssrc.tolist(), self.rtp_b0.tolist(),
+                    self.rtp_header_len.tolist(),
+                    cols.media_class.tolist())):
+            rtp = None
+            if pt != NO_RTP:
+                rtp = RtpHeader(2, bool(b0 & 0x20), bool(b0 & 0x10),
+                                bool(marker), b0 & 0x0F, pt, seq, ts, ssrc,
+                                csrcs.get(i, ()), header_len)
+            out.append(PacketRecord(arrival, src_ip, dst_ip, src_port,
+                                    dst_port, plen, rtp, _media_class(code)))
+        return out
+
+
+def _addresses(column):
+    if column.dtype.kind not in "iu":
+        return column.tolist()
+    values, inverse = np.unique(column, return_inverse=True)
+    names = [socket.inet_ntoa(int(v).to_bytes(4, "big")) for v in values]
+    return [names[i] for i in inverse.reshape(-1).tolist()]
+
+
+def _media_class(code):
+    return None if code == NO_CLASS else MEDIA_CLASSES[code]
+
+
+def _retagged(packets, cols):
+    """packets with the media classes of cols."""
+    return [PacketRecord(p.arrival_us, p.src_ip, p.dst_ip, p.src_port,
+                         p.dst_port, p.payload_len, p.rtp, _media_class(code))
+            for p, code in zip(packets, cols.media_class.tolist())]
+
+
+class Session:
+    """One call's packets, sorted by arrival.
+
+    The analysis path reads ``columns``. ``packets``, one PacketRecord per
+    packet, is a view for callers at the API edge. Session(id, label,
+    packets) derives the columns on first use; a reader passes columns and
+    ``records``, a function of the columns that builds the view, which
+    runs on first use of ``packets``.
+    """
+
+    def __init__(self, session_id, vca_label, packets=None, columns=None,
+                 records=None):
+        self.session_id = session_id
+        self.vca_label = vca_label
+        self.skipped_count = 0
+        if packets is not None:
+            prev = -1
+            for p in packets:
+                if p.arrival_us < prev:
+                    raise ValueError("packets must be sorted by arrival time")
+                prev = p.arrival_us
+        elif (np.diff(columns.arrival_us) < 0).any():
+            raise ValueError("packets must be sorted by arrival time")
+        self._packets = packets
+        self._columns = columns
+        self._records = records
+
+    @property
+    def packets(self) -> list:
+        if self._packets is None:
+            self._packets = self._records(self._columns)
+        return self._packets
+
+    @property
+    def columns(self) -> PacketColumns:
+        if self._columns is None:
+            self._columns = PacketColumns.of(self._packets)
+        return self._columns
+
+    def __len__(self):
+        if self._packets is not None:
+            return len(self._packets)
+        return len(self._columns)
+
+    def classified(self, media_class) -> "Session":
+        """This session with a media_class column (MEDIA_CODE values)."""
+        cols = replace(self.columns, media_class=media_class)
+        records = self._records or partial(_retagged, self._packets)
+        return Session(self.session_id, self.vca_label, columns=cols,
+                       records=records)
+
+    def video_packets(self) -> list:
+        return [p for p in self.packets if p.media_class is MediaClass.VIDEO]
 
 
 @dataclass

@@ -7,7 +7,7 @@ from vcaqoe.features import (FLOW_FEATURES, IPUDP_FEATURE_NAMES,
                              SEMANTIC_FEATURES, MissingRtp, SemanticParams,
                              flow_stats, frame_lags, rtp_features,
                              semantic_features, session_feature_rows)
-from vcaqoe.session import MediaClass, PacketRecord, RtpHeader
+from vcaqoe.session import MediaClass, PacketColumns, PacketRecord, RtpHeader
 from vcaqoe.synth import SenderProfile, generate
 
 
@@ -21,6 +21,10 @@ def pkt(us, size, pt=None, seq=0, ts=0, marker=False, cls=None):
     return p
 
 
+def cols(pkts):
+    return PacketColumns.of(pkts)
+
+
 def test_feature_name_layout():
     assert len(FLOW_FEATURES) == 12
     assert len(SEMANTIC_FEATURES) == 2
@@ -32,7 +36,7 @@ def test_feature_name_layout():
 
 def test_flow_stats_hand_example():
     pkts = [pkt(0, 1000), pkt(10_000, 1200), pkt(30_000, 800)]
-    out = flow_stats(pkts, w=1.0)
+    out = flow_stats(cols(pkts), w=1.0)
     assert out[0] == pytest.approx(3000.0)          # bytes_per_s
     assert out[1] == pytest.approx(3.0)             # pkts_per_s
     assert out[2] == pytest.approx(1000.0)          # size_mean
@@ -46,22 +50,22 @@ def test_flow_stats_hand_example():
 
 
 def test_flow_stats_empty_and_singleton():
-    assert flow_stats([], 1.0) == [0.0] * 12
-    single = flow_stats([pkt(0, 900)], 1.0)
+    assert flow_stats(cols([]), 1.0) == [0.0] * 12
+    single = flow_stats(cols([pkt(0, 900)]), 1.0)
     assert single[0] == 900.0 and single[1] == 1.0
     assert single[7:] == [0.0] * 5
 
 
 def test_flow_stats_scales_with_window():
     pkts = [pkt(0, 1000), pkt(500_000, 1000)]
-    out = flow_stats(pkts, w=2.0)
+    out = flow_stats(cols(pkts), w=2.0)
     assert out[0] == pytest.approx(1000.0)
     assert out[1] == pytest.approx(1.0)
 
 
 def test_semantic_unique_sizes():
     pkts = [pkt(0, 1000), pkt(10, 1000), pkt(20, 1001), pkt(30, 998)]
-    n_unique, _ = semantic_features(pkts)
+    n_unique, _ = semantic_features(cols(pkts))
     assert n_unique == 3.0
 
 
@@ -69,10 +73,11 @@ def test_semantic_microbursts():
     # gaps: 1 ms, 5 ms, 0.1 ms, 4 ms at theta 3 ms -> 1 + 2 = 3 bursts
     times = [0, 1_000, 6_000, 6_100, 10_100]
     pkts = [pkt(t, 1000) for t in times]
-    _, bursts = semantic_features(pkts, SemanticParams(theta_iat_ms=3.0))
+    _, bursts = semantic_features(cols(pkts),
+                                  SemanticParams(theta_iat_ms=3.0))
     assert bursts == 3.0
-    assert semantic_features([], SemanticParams()) == (0.0, 0.0)
-    assert semantic_features([pkt(0, 900)])[1] == 1.0
+    assert semantic_features(cols([]), SemanticParams()) == (0.0, 0.0)
+    assert semantic_features(cols([pkt(0, 900)]))[1] == 1.0
 
 
 def test_microbursts_match_generated_frame_count():
@@ -84,22 +89,33 @@ def test_microbursts_match_generated_frame_count():
     wus = 1_000_000
     k = (video[0].arrival_us // wus + 1) * wus
     window = [p for p in video if k <= p.arrival_us < k + wus]
-    _, bursts = semantic_features(window)
+    _, bursts = semantic_features(cols(window))
     assert bursts == 30.0
 
 
 def test_ooo_count_example():
     pkts = [pkt(i * 10, 900, pt=102, seq=s, cls=MediaClass.VIDEO)
             for i, s in enumerate([5, 6, 8, 7])]
-    out = rtp_features(pkts)
+    out = rtp_features(cols(pkts))
     assert out[RTP_ONLY_FEATURES.index("ooo_count")] == 1.0
 
 
 def test_ooo_count_ignores_wrap():
     pkts = [pkt(i * 10, 900, pt=102, seq=s, cls=MediaClass.VIDEO)
             for i, s in enumerate([65534, 65535, 0, 1])]
-    out = rtp_features(pkts)
+    out = rtp_features(cols(pkts))
     assert out[RTP_ONLY_FEATURES.index("ooo_count")] == 0.0
+
+
+@pytest.mark.parametrize("seqs", [
+    [65534, 0, 65535],      # 0 -> 65535 steps back by one modulo 2^16
+    [32768, 0, 32767],      # back by half the sequence space, then forward
+])
+def test_ooo_count_across_wrap(seqs):
+    pkts = [pkt(i * 10, 900, pt=102, seq=s, cls=MediaClass.VIDEO)
+            for i, s in enumerate(seqs)]
+    out = rtp_features(cols(pkts))
+    assert out[RTP_ONLY_FEATURES.index("ooo_count")] == 1.0
 
 
 def test_rtp_timestamp_set_features():
@@ -108,7 +124,7 @@ def test_rtp_timestamp_set_features():
             pkt(20, 900, pt=102, ts=3000, marker=True, cls=MediaClass.VIDEO),
             pkt(30, 900, pt=103, ts=0, cls=MediaClass.VIDEO_RETX),
             pkt(40, 900, pt=103, ts=6000, cls=MediaClass.VIDEO_RETX)]
-    out = rtp_features(pkts)
+    out = rtp_features(cols(pkts))
     idx = {n: i for i, n in enumerate(RTP_ONLY_FEATURES)}
     assert out[idx["unique_rtp_ts_video"]] == 2.0
     assert out[idx["unique_rtp_ts_retx"]] == 2.0
@@ -121,27 +137,20 @@ def test_rtp_timestamp_set_features():
 def test_rtp_features_require_headers():
     p = pkt(0, 900, cls=MediaClass.VIDEO)
     with pytest.raises(MissingRtp):
-        rtp_features([p])
+        rtp_features(cols([p]))
 
 
 def test_frame_lags_zero_on_schedule():
     # frames arriving exactly on the RTP-implied schedule have zero lag
-    class F:
-        def __init__(self, end_us, ts):
-            self.end_us = end_us
-            self.rtp_timestamps = {ts}
-    frames = [F(1_000_000 + int(i * 1e6 / 30), i * 3000) for i in range(5)]
-    lags = frame_lags(frames, (frames[0].end_us, 0), 90000)
+    end_us = [1_000_000 + int(i * 1e6 / 30) for i in range(5)]
+    rtp_ts = [i * 3000 for i in range(5)]
+    lags = frame_lags(end_us, rtp_ts, (end_us[0], 0), 90000)
     assert all(abs(v) < 1e-5 for v in lags)
 
 
 def test_frame_lags_late_frame():
-    class F:
-        def __init__(self, end_us, ts):
-            self.end_us = end_us
-            self.rtp_timestamps = {ts}
-    frames = [F(1_000_000, 0), F(1_000_000 + 33_333 + 20_000, 3000)]
-    lags = frame_lags(frames, (1_000_000, 0), 90000)
+    lags = frame_lags([1_000_000, 1_000_000 + 33_333 + 20_000], [0, 3000],
+                      (1_000_000, 0), 90000)
     assert lags[0] == pytest.approx(0.0)
     assert lags[1] == pytest.approx(0.020, abs=1e-4)
 

@@ -13,10 +13,11 @@ from vcaqoe.synth import SenderProfile, generate
 
 # --- reference pcap writer, independent of the package's own -------------
 
-def ref_udp_frame(src_ip, dst_ip, sport, dport, payload):
+def ref_udp_frame(src_ip, dst_ip, sport, dport, payload, flags_frag=0):
     eth = b"\xaa" * 12 + struct.pack(">H", 0x0800)
     udp = struct.pack(">HHHH", sport, dport, 8 + len(payload), 0) + payload
-    ip = (struct.pack(">BBHHHBBH", 0x45, 0, 20 + len(udp), 0, 0, 64, 17, 0)
+    ip = (struct.pack(">BBHHHBBH", 0x45, 0, 20 + len(udp), 0, flags_frag, 64,
+                      17, 0)
           + bytes(int(x) for x in src_ip.split("."))
           + bytes(int(x) for x in dst_ip.split(".")))
     return eth + ip + udp
@@ -61,6 +62,38 @@ def test_read_pcap_skips_tcp(tmp_path):
     s = read_pcap(str(p))
     assert len(s.packets) == 2
     assert s.skipped_count == 1
+
+
+def test_read_pcap_skips_non_first_fragments(tmp_path):
+    p = tmp_path / "t.pcap"
+    more_fragments = 0x2000
+    frames = [(1, 0, ref_udp_frame("1.1.1.1", "2.2.2.2", 1, 2, b"x" * 30)),
+              # first fragment: offset 0, more fragments follow
+              (1, 5, ref_udp_frame("1.1.1.1", "2.2.2.2", 3, 4, b"y" * 40,
+                                   flags_frag=more_fragments)),
+              # later fragments: their first bytes are payload, not UDP
+              (1, 7, ref_udp_frame("1.1.1.1", "2.2.2.2", 5, 6, b"z" * 30,
+                                   flags_frag=more_fragments | 6)),
+              (1, 9, ref_udp_frame("1.1.1.1", "2.2.2.2", 7, 8, b"w" * 30,
+                                   flags_frag=0x1FFF))]
+    write_ref_pcap(p, frames)
+    s = read_pcap(str(p))
+    assert [pk.src_port for pk in s.packets] == [1, 3]
+    assert s.skipped_count == 2
+
+
+def test_read_pcap_sorts_by_arrival_and_clamps_short_udp_length(tmp_path):
+    p = tmp_path / "t.pcap"
+    short = bytearray(ref_udp_frame("1.1.1.1", "2.2.2.2", 3, 4, b"y" * 20))
+    struct.pack_into(">H", short, 14 + 20 + 4, 4)   # below the UDP header
+    frames = [(2, 0, ref_udp_frame("1.1.1.1", "2.2.2.2", 1, 2, b"x" * 30)),
+              (1, 0, bytes(short)),
+              (2, 0, ref_udp_frame("1.1.1.1", "2.2.2.2", 5, 6, b"z" * 10))]
+    write_ref_pcap(p, frames)
+    s = read_pcap(str(p))
+    assert [pk.src_port for pk in s.packets] == [3, 1, 5]
+    assert [pk.payload_len for pk in s.packets] == [0, 30, 10]
+    assert s.packets[0].rtp is None
 
 
 def test_read_pcap_bad_magic(tmp_path):
@@ -120,6 +153,24 @@ def test_packet_csv_bad_row(tmp_path):
     with pytest.raises(BadRow) as exc:
         read_packet_csv(str(p))
     assert exc.value.line_no == 2
+
+
+def test_packet_csv_sorts_rows_and_counts_blank_lines(tmp_path):
+    p = tmp_path / "x.csv"
+    header = ("ts_us,src_ip,dst_ip,src_port,dst_port,udp_payload_len,"
+              "rtp_pt,rtp_seq,rtp_ts,rtp_marker,rtp_ssrc\n")
+    p.write_text(header
+                 + "2000,1.1.1.1,2.2.2.2,10,20,120,-1,-1,-1,-1,-1\n\n"
+                 + "1000,1.1.1.1,2.2.2.2,11,20,600,102,5,3000,1,77\n"
+                 + "2000,1.1.1.1,2.2.2.2,12,20,130,-1,-1,-1,-1,-1\n")
+    assert [pk.src_port for pk in read_packet_csv(str(p)).packets] == [
+        11, 10, 12]
+    p.write_text(header
+                 + "1000,1.1.1.1,2.2.2.2,11,20,600,102,5,3000,1,77\n\n\n"
+                 + "2000,1.1.1.1,2.2.2.2,12,20,x,-1,-1,-1,-1,-1\n")
+    with pytest.raises(BadRow) as exc:
+        read_packet_csv(str(p))
+    assert exc.value.line_no == 5
 
 
 def test_ground_truth_csv(tmp_path):
