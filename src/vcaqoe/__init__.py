@@ -17,14 +17,13 @@ from .features import (IPUDP_FEATURE_NAMES, RTP_FEATURE_NAMES, SemanticParams,
                        session_feature_rows)
 from .forest import (RandomForestClassifier, RandomForestRegressor,
                      kfold_by_session, load_forest, save_forest)
-from .heuristics import bitrate, estimate_series, frame_jitter, frame_rate
-from .ingest import (GroundTruthSeries, align, read_ground_truth_csv,
+from .heuristics import estimate_series, session_windows
+from .ingest import (GroundTruthSeries, read_ground_truth_csv,
                      read_packet_csv, read_pcap, write_ground_truth_csv,
                      write_packet_csv, write_pcap)
 from .pipeline import analyze_session, paired_metric
 from .session import (Frame, MediaClass, PacketRecord, QoeWindow, RtpHeader,
-                      Session, parse_rtp_header, serialize_rtp_header,
-                      window_of)
+                      Session, parse_rtp_header, serialize_rtp_header)
 from .synth import (ImpairmentProfile, SenderProfile, generate, impair,
                     truth_from_frame_log)
 

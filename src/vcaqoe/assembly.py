@@ -10,12 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import _atomic_write_csv
 from .session import NO_RTP, RTP_FIXED_HEADER_LEN, Frame, PacketColumns
-
-FRAME_CSV_HEADER = ["frame_id", "n_packets", "size_bytes", "start_us",
-                    "end_us", "rtp_ts_list"]
-
 
 class AssemblyError(Exception):
     pass
@@ -205,11 +200,3 @@ def diagnose(estimated, truth_packets, params=IpUdpAssemblyParams()):
             interleave_count += 1
     return AssemblyDiagnostics(split_count, coalesce_count, interleave_count)
 
-
-def write_frames_csv(frames, path):
-    rows = []
-    for f in frames:
-        ts_list = ";".join(str(t) for t in sorted(f.rtp_timestamps))
-        rows.append([f.frame_id, len(f.packet_indices), f.size_bytes,
-                     f.start_us, f.end_us, ts_list])
-    _atomic_write_csv(path, FRAME_CSV_HEADER, rows)

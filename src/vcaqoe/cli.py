@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .assembly import IpUdpAssemblyParams
+from .assembly import IpUdpAssemblyParams, params_for_vca
 from .classify import (ClassifyError, PayloadTypeMap, SizeThreshold,
                        classification_report, classify_by_payload_type,
                        classify_by_size, fit_vmin, load_payload_type_map)
@@ -22,10 +22,10 @@ from .features import IPUDP_FEATURE_NAMES, RTP_FEATURE_NAMES, SemanticParams, \
     session_feature_rows
 from .forest import (ForestError, RandomForestClassifier,
                      RandomForestRegressor, load_forest, save_forest)
+from .heuristics import session_windows
 from .ingest import (IngestError, _atomic_write_bytes, _atomic_write_csv,
                      read_ground_truth_csv, read_packet_csv, read_pcap,
-                     session_interior_windows, write_ground_truth_csv,
-                     write_packet_csv)
+                     write_ground_truth_csv, write_packet_csv)
 from .pipeline import analyze_session
 from .session import RtpError
 from .synth import (ImpairmentProfile, InvalidProfile, SenderProfile,
@@ -113,14 +113,13 @@ def cmd_classify(args):
 
 def cmd_analyze(args):
     session = _read_session(args.input, args.vca)
-    params = IpUdpAssemblyParams(delta_size_max=args.delta,
-                                 n_max=args.lookback)
+    n_max = args.lookback
+    if n_max is None:
+        n_max = params_for_vca(args.vca).n_max
+    params = IpUdpAssemblyParams(delta_size_max=args.delta, n_max=n_max)
     series = analyze_session(session, args.method, params,
                              SizeThreshold(args.vmin), w=float(args.window))
-    w = int(args.window)
-    interior = session_interior_windows(session)
-    rows = [series[k] for k in sorted(series)
-            if interior.start <= k and k + w <= interior.stop + 1]
+    rows = [series[k] for k in session_windows(session, args.window)]
     write_ground_truth_csv(rows, args.output)
     return 0
 
@@ -165,10 +164,9 @@ def cmd_features(args):
         if truth_path:
             truth = read_ground_truth_csv(truth_path)
             truth_by_key = {r.window_start: r for r in truth.rows}
-        interior = session_interior_windows(session)
-        w = int(args.window)
+        windows = session_windows(session, args.window)
         for k, vec in zip(keys, X):
-            if not (interior.start <= k and k + w <= interior.stop + 1):
+            if k not in windows:
                 continue
             t = truth_by_key.get(k)
             extras = ["nan", "nan", "nan", -1]
@@ -393,7 +391,8 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--method", choices=["ipudp", "rtp"], default="ipudp")
     p.add_argument("--delta", type=int, default=2)
-    p.add_argument("--lookback", type=int, default=2)
+    p.add_argument("--lookback", type=int,
+                   help="packet lookback N_max (default: the --vca's)")
     p.add_argument("--vmin", type=int, default=500)
     p.add_argument("--window", type=_positive_int, default=1)
     p.add_argument("--vca", default="")
@@ -416,7 +415,7 @@ def build_parser():
     p.add_argument("data")
     p.add_argument("--target", choices=sorted(TARGET_COLUMNS),
                    required=True)
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", type=_positive_int, default=100)
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--min-leaf", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -470,11 +469,24 @@ def _apply_config(parser, argv):
     for action in parser._subparsers._group_actions[0].choices.values():
         known = {a.dest: a for a in action._actions}
         for key, value in defaults.items():
-            if key in known and known[key].type is not None:
-                action.set_defaults(**{key: known[key].type(value)})
-            elif key in known:
-                action.set_defaults(**{key: value})
+            if key not in known:
+                continue
+            if isinstance(known[key], argparse._StoreTrueAction):
+                value = _config_flag(key, value)
+            elif known[key].type is not None:
+                value = known[key].type(value)
+            action.set_defaults(**{key: value})
     return argv[:i] + argv[i + 2:]
+
+
+def _config_flag(key, value):
+    """The bool a config file gives an on/off flag."""
+    flag = {"true": True, "1": True, "false": False, "0": False}.get(
+        value.lower())
+    if flag is None:
+        raise ValueError(f"config {key}={value}: expected true, false, 1 "
+                         "or 0")
+    return flag
 
 
 def run(argv=None):

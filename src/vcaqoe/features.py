@@ -13,6 +13,7 @@ import numpy as np
 
 # assemble_rtp stays importable here: bench/tracing.py wraps it
 from .assembly import assemble_rtp, rtp_frame_table  # noqa: F401
+from .heuristics import window_segments
 from .session import MEDIA_CODE, MICROS_PER_S, NO_RTP, MediaClass
 
 FLOW_FEATURES = [
@@ -135,13 +136,12 @@ def session_feature_rows(session, feature_set="ipudp", w=1,
     """Per-window feature vectors for a media-classified session.
 
     Returns (window_starts, matrix) covering every w-second window between
-    the first and last video packet, inclusive; callers drop edge windows
-    during alignment. feature_set is "ipudp" or "rtp".
+    the first and last video packet, inclusive; callers keep the windows
+    of session_windows. feature_set is "ipudp" or "rtp".
     """
     if feature_set not in ("ipudp", "rtp"):
         raise ValueError(f"unknown feature set {feature_set!r}")
     w = int(w)
-    wus = w * MICROS_PER_S
     cols = session.columns
     is_video = cols.media_class == MEDIA_CODE[MediaClass.VIDEO]
     if not is_video.any():
@@ -149,11 +149,13 @@ def session_feature_rows(session, feature_set="ipudp", w=1,
                                     if feature_set == "ipudp"
                                     else RTP_FEATURE_NAMES)))
     video = cols.take(is_video)
-    first_key = int(video.arrival_us[0]) // wus * w
-    last_key = int(video.arrival_us[-1]) // wus * w
-    keys = list(range(first_key, last_key + w, w))
-    # window i holds the arrivals in [edges[i], edges[i + 1])
-    edges = np.arange(first_key, last_key + 2 * w, w) * MICROS_PER_S
+    span = (int(video.arrival_us[0]), int(video.arrival_us[-1]))
+
+    def segments(times_us):
+        keys, lo, hi = window_segments(times_us, w, span)
+        return keys, list(map(slice, lo.tolist(), hi.tolist()))
+
+    keys, video_cuts = segments(video.arrival_us)
 
     if feature_set == "rtp":
         frames = rtp_frame_table(video)
@@ -161,21 +163,18 @@ def session_feature_rows(session, feature_set="ipudp", w=1,
         lags = frame_lags(frames.end_us, frame_ts,
                           (int(frames.end_us[0]), int(frame_ts[0])),
                           params.sampling_freq)
-        lag_cut = np.searchsorted(frames.end_us, edges).tolist()
+        _, lag_cuts = segments(frames.end_us)
         media = cols.take(is_video | (
             cols.media_class == MEDIA_CODE[MediaClass.VIDEO_RETX]))
-        media_cut = np.searchsorted(media.arrival_us, edges).tolist()
-    video_cut = np.searchsorted(video.arrival_us, edges).tolist()
+        _, media_cuts = segments(media.arrival_us)
 
     rows = []
-    for i in range(len(keys)):
-        vid = video.take(slice(video_cut[i], video_cut[i + 1]))
+    for i, cut in enumerate(video_cuts):
+        vid = video.take(cut)
         row = flow_stats(vid, float(w))
         if feature_set == "ipudp":
             row += semantic_features(vid, params)
         else:
-            row += rtp_features(
-                media.take(slice(media_cut[i], media_cut[i + 1])),
-                lags[lag_cut[i]:lag_cut[i + 1]])
+            row += rtp_features(media.take(media_cuts[i]), lags[lag_cuts[i]])
         rows.append(row)
     return keys, np.asarray(rows, dtype=np.float64)

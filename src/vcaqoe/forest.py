@@ -358,11 +358,6 @@ def kfold_by_session(groups, k=5, seed=0):
     return folds
 
 
-def feature_importances(model):
-    check_fitted(model)
-    return model.feature_importances_
-
-
 def save_forest(model, path, feature_names):
     """Serialize a fitted forest to a versioned, self-describing JSON file."""
     check_fitted(model)

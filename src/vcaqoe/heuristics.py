@@ -1,4 +1,5 @@
-"""Per-window QoE estimates from an assembled frame sequence.
+"""Per-window QoE estimates from an assembled frame sequence, and the one
+rule for which windows count.
 
 Frame rate counts frames ending inside the window, bitrate averages their
 bits, and frame jitter is the population stddev of consecutive frame
@@ -16,35 +17,42 @@ from .session import MICROS_PER_S, QoeWindow
 MIN_FRAMES_FOR_JITTER = 3
 
 
-def _window_key(end_us, w_us):
-    """Window start in seconds; an int for whole-second windows, a float
-    otherwise (sub-second window variants)."""
-    start_us = (end_us // w_us) * w_us
-    if start_us % MICROS_PER_S == 0 and w_us % MICROS_PER_S == 0:
-        return start_us // MICROS_PER_S
-    return start_us / MICROS_PER_S
+def window_segments(times_us, w=1.0, span_us=None):
+    """Windows of w seconds over sorted int64 µs times: (keys, lo, hi).
 
-
-def frame_rate(frames, window, w=1.0):
-    """Frames ending in the given window per second."""
+    times_us[lo[i]:hi[i]] fall in the window that starts keys[i] seconds
+    after the epoch. Whole-second windows cover every window from the one
+    holding the first time to the one holding the last, or over
+    span_us=(first, last) when given; their keys are ints. Sub-second
+    windows cover only those holding a time; their keys are floats.
+    """
     w_us = int(round(w * MICROS_PER_S))
-    return sum(1 for f in frames if _window_key(f.end_us, w_us) == window) / w
+    window = times_us // w_us
+    if w_us % MICROS_PER_S == 0:
+        first, last = (span_us if span_us is not None
+                       else (times_us[0], times_us[-1]))
+        windows = np.arange(first // w_us, last // w_us + 1)
+        keys = (windows * (w_us // MICROS_PER_S)).tolist()
+    else:
+        windows = np.unique(window)
+        keys = (windows * w_us / MICROS_PER_S).tolist()
+    return (keys, np.searchsorted(window, windows, side="left"),
+            np.searchsorted(window, windows, side="right"))
 
 
-def bitrate(frames, window, w=1.0):
-    """kbps of frame bytes ending in the given window."""
-    w_us = int(round(w * MICROS_PER_S))
-    total = sum(f.size_bytes for f in frames
-                if _window_key(f.end_us, w_us) == window)
-    return total * 8.0 / w / 1000.0
+def session_windows(session, w=1):
+    """Starts of the w-second windows reported for a session: multiples of
+    w from the second after the first arrival's on, each window ending by
+    the end of the last arrival's second.
 
-
-def frame_jitter(frames, window, w=1.0):
-    """Frame jitter in ms for one window, or None when fewer than 3 frames
-    end in it."""
-    series = estimate_series(frames, w)
-    row = series.get(window)
-    return None if row is None else row.frame_jitter_ms
+    The partial first second is dropped, the last second is kept: a
+    window k counts when first_sec + 1 <= k and k + w <= last_sec + 1.
+    """
+    w = int(w)
+    arrival_us = session.columns.arrival_us
+    first = int(arrival_us[0]) // MICROS_PER_S
+    last = int(arrival_us[-1]) // MICROS_PER_S
+    return range(-(-(first + 1) // w) * w, last + 2 - w, w)
 
 
 def estimate_series(frames, w=1.0, span_us=None):
@@ -65,25 +73,15 @@ def estimate_series(frames, w=1.0, span_us=None):
 def window_series(end_us, size_bytes, w=1.0, span_us=None):
     """Per-window estimates from frame end times and sizes (int64 arrays).
 
-    This is estimate_series on columns. Whole-second windows cover every
-    window of the range; sub-second windows only those a frame ends in.
+    This is estimate_series on columns, over the windows of
+    window_segments.
     """
     if len(end_us) == 0 and span_us is None:
         return {}
-    w_us = int(round(w * MICROS_PER_S))
     order = np.argsort(end_us, kind="stable")
     end_us = end_us[order]
     size_bytes = size_bytes[order]
-    window = end_us // w_us
-    if w_us % MICROS_PER_S == 0:
-        lo, hi = span_us if span_us is not None else (end_us[0], end_us[-1])
-        windows = np.arange(lo // w_us, hi // w_us + 1)
-        keys = (windows * (w_us // MICROS_PER_S)).tolist()
-    else:
-        windows = np.unique(window)
-        keys = (windows * w_us / MICROS_PER_S).tolist()
-    first = np.searchsorted(window, windows, side="left")
-    stop = np.searchsorted(window, windows, side="right")
+    keys, first, stop = window_segments(end_us, w, span_us)
     counts = stop - first
     bytes_in = np.concatenate(([0], np.cumsum(size_bytes)))
     bytes_in = bytes_in[stop] - bytes_in[first]

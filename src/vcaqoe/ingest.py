@@ -1,4 +1,4 @@
-"""Trace and ground-truth readers plus estimate/truth alignment.
+"""Trace and ground-truth readers and writers.
 
 Supported inputs: classic pcap (Ethernet link type, IPv4/UDP only), the
 packet CSV schema, and the per-second ground-truth CSV schema.
@@ -65,25 +65,10 @@ class DuplicateSecond(IngestError):
     pass
 
 
-class SessionFiltered(IngestError):
-    pass
-
-
-class NoOverlap(IngestError):
-    pass
-
-
 @dataclass
 class GroundTruthSeries:
     session_id: str
     rows: list  # QoeWindow, strictly increasing window_start
-
-
-@dataclass
-class AlignedPair:
-    session_id: str
-    window_start: int
-    truth: QoeWindow
 
 
 def read_pcap(path, session_id=None, vca_label=""):
@@ -368,41 +353,6 @@ def write_ground_truth_csv(rows, path):
                     fmt(r.frame_jitter_ms),
                     -1 if r.frame_height is None else r.frame_height])
     _atomic_write_csv(path, TRUTH_CSV_HEADER, out)
-
-
-def session_interior_windows(session):
-    """Epoch seconds fully covered by the session (partial edge seconds
-    dropped)."""
-    arrival_us = session.columns.arrival_us
-    first = int(arrival_us[0]) // MICROS_PER_S
-    last = int(arrival_us[-1]) // MICROS_PER_S
-    return range(first + 1, last)
-
-
-def align(session, truth, offset_s=0):
-    """Pair complete session windows with ground-truth rows.
-
-    Sessions whose truth series has fewer rows than whole seconds in its
-    span are rejected outright. Partial first/last session seconds are
-    always excluded.
-    """
-    if not len(session) or not truth.rows:
-        raise NoOverlap("empty input")
-    t_first = truth.rows[0].window_start + offset_s
-    t_last = truth.rows[-1].window_start + offset_s
-    span = t_last - t_first + 1
-    if len(truth.rows) < span:
-        raise SessionFiltered(
-            f"{len(truth.rows)} truth rows over a {span}-second span")
-    by_sec = {r.window_start + offset_s: r for r in truth.rows}
-    pairs = []
-    for sec in session_interior_windows(session):
-        row = by_sec.get(sec)
-        if row is not None:
-            pairs.append(AlignedPair(session.session_id, sec, row))
-    if not pairs:
-        raise NoOverlap("no common complete windows")
-    return pairs
 
 
 def _atomic_write_bytes(path, blob):

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from .assembly import IpUdpAssemblyParams, ipudp_frame_table, rtp_frame_table
 from .classify import PayloadTypeMap, SizeThreshold
-from .heuristics import window_series
-from .ingest import session_interior_windows
+from .heuristics import session_windows, window_series
 # PacketColumns stays importable here: bench/tracing.py wraps its `of`
 from .session import MEDIA_CODE, MediaClass, PacketColumns  # noqa: F401
 
@@ -37,19 +36,16 @@ def analyze_session(session, method="ipudp", params=None, threshold=None,
 
 
 def paired_metric(est_series, truth_rows, metric, session=None, w=1):
-    """(pred, truth) lists for one metric over shared complete windows.
+    """(pred, truth) lists for one metric over shared windows.
 
     truth_rows: QoeWindow list keyed by window_start. When a session is
-    given, its partial first/last seconds are excluded.
+    given, only its session_windows count.
     """
-    w = int(w)
     truth_by_key = {r.window_start: r for r in truth_rows}
     keys = sorted(set(est_series) & set(truth_by_key))
     if session is not None:
-        interior = session_interior_windows(session)
-        lo = ((interior.start + w - 1) // w) * w
-        hi = (interior.stop // w) * w
-        keys = [k for k in keys if lo <= k and k + w <= hi]
+        windows = session_windows(session, w)
+        keys = [k for k in keys if k in windows]
     pred = [getattr(est_series[k], metric) for k in keys]
     truth = [getattr(truth_by_key[k], metric) for k in keys]
     return pred, truth

@@ -116,10 +116,6 @@ class PacketRecord:
     rtp: Optional[RtpHeader] = None
     media_class: Optional[MediaClass] = None
 
-    @property
-    def arrival_time(self) -> float:
-        return self.arrival_us / MICROS_PER_S
-
 
 @dataclass(frozen=True, slots=True)
 class Frame:
@@ -129,14 +125,6 @@ class Frame:
     start_us: int
     end_us: int
     rtp_timestamps: frozenset = frozenset()
-
-    @property
-    def start_time(self) -> float:
-        return self.start_us / MICROS_PER_S
-
-    @property
-    def end_time(self) -> float:
-        return self.end_us / MICROS_PER_S
 
 
 MEDIA_CLASSES = tuple(MediaClass)   # media_class column value i is MEDIA_CLASSES[i]
@@ -313,14 +301,3 @@ class QoeWindow:
     bitrate_kbps: Optional[float] = None
     frame_jitter_ms: Optional[float] = None
     frame_height: Optional[int] = None
-    resolution_class: Optional[str] = None
-
-
-def window_of(arrival_time: float) -> int:
-    """Epoch second containing an arrival time; the boundary second belongs
-    to the next window."""
-    return int(arrival_time // 1.0)
-
-
-def window_of_us(arrival_us: int) -> int:
-    return arrival_us // MICROS_PER_S

@@ -17,9 +17,10 @@ from typing import Dict, Optional
 import numpy as np
 
 from .classify import PayloadTypeMap
+from .heuristics import window_series
 from .ingest import GroundTruthSeries, _atomic_write_csv
 from .session import (MICROS_PER_S, RTP_FIXED_HEADER_LEN, MediaClass,
-                      PacketRecord, QoeWindow, RtpHeader, Session)
+                      PacketRecord, RtpHeader, Session)
 
 FRAME_LOG_HEADER = ["frame_id", "emit_us", "complete_us", "media_bytes",
                     "rtp_ts"]
@@ -200,46 +201,28 @@ def truth_from_frame_log(frame_log, session_id="synth", w=1,
                          first_us=None, last_us=None):
     """Exact per-window ground truth from the emitted frame log.
 
-    fps counts frames completing in the window, bitrate sums their media
-    bytes, jitter is the population stddev of completion gaps (gaps belong
-    to the later frame's window), and frame height follows the bitrate
-    tier. Jitter is missing for windows with fewer than 3 frames.
+    The window_series of the frames' completion times and media bytes over
+    (first_us, last_us): fps counts frames completing in the window,
+    bitrate sums their media bytes, and jitter, missing for windows with
+    fewer than 3 frames, is the population stddev of completion gaps. Frame
+    height follows the bitrate tier in windows with frames.
     """
     w = int(w)
-    wus = w * MICROS_PER_S
     if first_us is None:
         first_us = frame_log[0].emit_us
     if last_us is None:
         last_us = frame_log[-1].complete_us
-    first_key = (first_us // wus) * w
-    last_key = (last_us // wus) * w
-
-    counts, nbytes, gaps = {}, {}, {}
-    prev = None
-    for f in frame_log:
-        k = (f.complete_us // wus) * w
-        counts[k] = counts.get(k, 0) + 1
-        nbytes[k] = nbytes.get(k, 0) + f.media_bytes
-        if prev is not None:
-            gaps.setdefault(k, []).append(f.complete_us - prev)
-        prev = f.complete_us
-
-    rows = []
-    for k in range(first_key, last_key + w, w):
-        n = counts.get(k, 0)
-        br = nbytes.get(k, 0) * 8.0 / w / 1000.0
-        jit = None
-        if n >= 3 and len(gaps.get(k, [])) >= 2:
-            jit = float(np.std(np.asarray(gaps[k], dtype=np.int64))) / 1000.0
-        height = None
-        if n > 0:
-            for edge, h in HEIGHT_TIERS:
-                if br <= edge:
-                    height = h
-                    break
-        rows.append(QoeWindow(window_start=k, duration_s=float(w), fps=n / w,
-                              bitrate_kbps=br, frame_jitter_ms=jit,
-                              frame_height=height))
+    n = len(frame_log)
+    series = window_series(
+        np.fromiter((f.complete_us for f in frame_log), np.int64, n),
+        np.fromiter((f.media_bytes for f in frame_log), np.int64, n),
+        w, span_us=(first_us, last_us))
+    rows = list(series.values())
+    for row in rows:
+        row.duration_s = float(w)
+        if row.fps > 0:
+            row.frame_height = next(h for edge, h in HEIGHT_TIERS
+                                    if row.bitrate_kbps <= edge)
     return GroundTruthSeries(session_id, rows)
 
 

@@ -17,7 +17,7 @@ from vcaqoe.evaluation import (binning_for_heights, mae, mrae,
 from vcaqoe.features import session_feature_rows
 from vcaqoe.forest import (RandomForestClassifier, RandomForestRegressor,
                            kfold_by_session)
-from vcaqoe.ingest import session_interior_windows
+from vcaqoe.heuristics import session_windows
 from vcaqoe.pipeline import analyze_session, paired_metric
 from vcaqoe.sweeps import lookback_sweep, loss_sweep, window_sweep
 from vcaqoe.synth import ImpairmentProfile, SenderProfile, generate, impair
@@ -103,11 +103,8 @@ def test_criterion_03_uniform_trace_zero_jitter():
     session, _truth, _log = generate(
         SenderProfile(fps=25.0, frame_size_jitter=0.0), 30.0, seed=42)
     series = analyze_session(session, "ipudp")
-    interior = session_interior_windows(session)
     checked = 0
-    for k in sorted(series):
-        if not (interior.start <= k <= interior.stop):
-            continue
+    for k in session_windows(session):
         assert series[k].frame_jitter_ms == 0.0
         checked += 1
     assert checked >= 25
@@ -163,9 +160,9 @@ def _window_dataset(corpus, feature_set, target="fps"):
             tagged = classify_by_payload_type(session)
         keys, X = session_feature_rows(tagged, feature_set)
         truth_by_key = {r.window_start: r for r in truth.rows}
-        interior = session_interior_windows(session)
+        windows = session_windows(session)
         for k, vec in zip(keys, X):
-            if not (interior.start <= k <= interior.stop):
+            if k not in windows:
                 continue
             row = truth_by_key.get(k)
             if row is None:

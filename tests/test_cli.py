@@ -222,3 +222,100 @@ def test_evaluate_resolution_class_labels(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["classes"] == ["low", "medium", "high"]
     assert doc["accuracy"] == pytest.approx(2 / 3)
+
+
+def test_trees_below_one_is_an_input_error(tmp_path, corpus):
+    feats = tmp_path / "features.csv"
+    assert run(["features", str(corpus), "-o", str(feats)]) == 0
+    for trees in ("0", "-3"):
+        model = tmp_path / f"model{trees}.json"
+        assert run(["train", str(feats), "--target", "fps", "--trees", trees,
+                    "-o", str(model)]) == 1
+        assert not model.exists()
+
+
+def test_config_flag_values(tmp_path):
+    def synth(name, *extra, config=None):
+        out = tmp_path / name
+        argv = ["synth", "--duration", "6", "--seed", "3", "-o", str(out)]
+        if config is not None:
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(config)
+            argv = ["--config", str(cfg)] + argv
+        rc = run(argv + list(extra))
+        files = sorted(out.iterdir()) if out.exists() else []
+        return rc, [p.read_bytes() for p in files]
+
+    rc, plain = synth("plain")
+    assert rc == 0
+    assert synth("off", config="non_separable=false\n") == (0, plain)
+    assert synth("zero", config="non-separable = 0\n") == (0, plain)
+    rc, flagged = synth("flag", "--non-separable")
+    assert rc == 0 and flagged != plain
+    assert synth("on", config="non_separable=true\n") == (0, flagged)
+    assert synth("one", config="non_separable=1\n") == (0, flagged)
+    assert synth("bad", config="non_separable=maybe\n")[0] == 1
+
+
+def test_vca_picks_the_lookback(tmp_path):
+    # one packet per frame, sizes separated from the previous frame only:
+    # lookback 1 and 3 assemble different frames
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--bitrate", "250", "--size-jitter", "0",
+                "--separable-depth", "1", "--duration", "10", "--seed", "2",
+                "-o", str(corpus)]) == 0
+    packets = str(corpus / "synth-2.packets.csv")
+
+    def analyze(name, *flags):
+        out = tmp_path / name
+        assert run(["analyze", packets, *flags, "-o", str(out)]) == 0
+        return out.read_bytes()
+
+    meet = analyze("meet.csv", "--vca", "meet")
+    webex = analyze("webex.csv", "--vca", "webex")
+    assert meet == analyze("n3.csv", "--lookback", "3")
+    assert webex == analyze("n1.csv", "--lookback", "1")
+    assert meet != webex
+    assert analyze("default.csv") == analyze("n2.csv", "--lookback", "2")
+    assert analyze("meet1.csv", "--vca", "meet", "--lookback", "1") == webex
+
+
+def test_reported_and_scored_windows_are_session_windows(tmp_path):
+    from vcaqoe.heuristics import session_windows
+    from vcaqoe.ingest import write_packet_csv
+    from vcaqoe.pipeline import analyze_session, paired_metric
+    from vcaqoe.synth import SenderProfile, generate, truth_from_frame_log
+
+    # starts 0.2 s into second S and ends 0.7 s into second S + 9
+    session, _truth, log = generate(SenderProfile(), 9.5, seed=5)
+    packets = tmp_path / "call.packets.csv"
+    write_packet_csv(session, str(packets))
+    arrival_us = session.columns.arrival_us
+    first_sec = int(arrival_us[0]) // 1_000_000
+    assert int(arrival_us[-1]) // 1_000_000 == first_sec + 9
+    assert first_sec % 2 == 0
+
+    def keys_of(path):
+        return [int(line.split(",")[1 if "features" in path.name else 0])
+                for line in path.read_text().splitlines()[1:]]
+
+    for w, expected in ((1, range(first_sec + 1, first_sec + 10)),
+                        (2, range(first_sec + 2, first_sec + 9, 2))):
+        windows = list(session_windows(session, w))
+        assert windows == list(expected)
+        for method in ("ipudp", "rtp"):
+            est = tmp_path / f"analyze-{method}-{w}.csv"
+            assert run(["analyze", str(packets), "--method", method,
+                        "--window", str(w), "-o", str(est)]) == 0
+            assert keys_of(est) == windows
+        for feature_set in ("ipudp", "rtp"):
+            feats = tmp_path / f"features-{feature_set}-{w}.csv"
+            assert run(["features", str(packets), "--set", feature_set,
+                        "--window", str(w), "-o", str(feats)]) == 0
+            assert keys_of(feats) == windows
+        truth = truth_from_frame_log(log, w=w, first_us=int(arrival_us[0]),
+                                     last_us=int(arrival_us[-1]))
+        series = analyze_session(session, "ipudp", w=float(w))
+        scored, _ = paired_metric(series, truth.rows, "window_start",
+                                  session, w=w)
+        assert scored == windows

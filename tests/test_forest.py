@@ -3,8 +3,8 @@ import pytest
 
 from vcaqoe.forest import (EmptyDataset, FeatureNameMismatch,
                            RandomForestClassifier, RandomForestRegressor,
-                           TooFewGroups, feature_importances, kfold_by_session,
-                           load_forest, save_forest)
+                           TooFewGroups, kfold_by_session, load_forest,
+                           save_forest)
 from vcaqoe.validation import DimensionMismatch, NonFiniteInput, NotFitted
 
 
@@ -99,7 +99,7 @@ def test_importances_find_informative_feature():
     X = rng.normal(size=(500, 6))
     y = 4.0 * X[:, 3] + 0.01 * rng.normal(size=500)
     m = RandomForestRegressor(n_trees=25, seed=16).fit(X, y)
-    imp = feature_importances(m)
+    imp = m.feature_importances_
     assert imp.shape == (6,)
     assert imp.sum() == pytest.approx(1.0)
     assert np.all(imp >= 0)

@@ -3,8 +3,7 @@ import pytest
 
 from vcaqoe.assembly import assemble_rtp
 from vcaqoe.classify import classify_by_payload_type
-from vcaqoe.heuristics import (bitrate, estimate_series, frame_jitter,
-                               frame_rate)
+from vcaqoe.heuristics import estimate_series
 from vcaqoe.session import Frame
 from vcaqoe.synth import SenderProfile, generate
 
@@ -22,29 +21,32 @@ def frames_at_fps(fps, start_us, n, size=1000):
 
 def test_frame_rate_counts_window_ends():
     frames = frames_at_fps(30, 100_000_000, 60)
-    assert frame_rate(frames, 100) == 30.0
-    assert frame_rate(frames, 101) == 30.0
-    assert frame_rate(frames, 99) == 0.0
+    series = estimate_series(frames, span_us=(99_000_000, 101_999_999))
+    assert series[100].fps == 30.0
+    assert series[101].fps == 30.0
+    assert series[99].fps == 0.0
 
 
 def test_frame_rate_subsecond_window():
     # 15 frames in each half-second at 30 fps -> 30.0 fps at w=0.5
     frames = frames_at_fps(30, 100_000_000, 30)
-    assert frame_rate(frames, 100, w=0.5) == 30.0
-    assert frame_rate(frames, 100.5, w=0.5) == 30.0
+    series = estimate_series(frames, w=0.5)
+    assert series[100].fps == 30.0
+    assert series[100.5].fps == 30.0
 
 
 def test_bitrate_example():
     # 30 frames of 1000 bytes in one second -> 240 kbps
     frames = frames_at_fps(30, 100_000_000, 30, size=1000)
-    assert bitrate(frames, 100) == pytest.approx(240.0)
-    assert bitrate(frames, 99) == 0.0
+    series = estimate_series(frames, span_us=(99_000_000, 100_999_999))
+    assert series[100].bitrate_kbps == pytest.approx(240.0)
+    assert series[99].bitrate_kbps == 0.0
 
 
 def test_jitter_hand_example():
     # gaps 30 ms and 50 ms -> population stddev 10 ms
     frames = [frame(100_000_000), frame(100_030_000), frame(100_080_000)]
-    assert frame_jitter(frames, 100) == pytest.approx(10.0)
+    assert estimate_series(frames)[100].frame_jitter_ms == pytest.approx(10.0)
 
 
 def test_jitter_uniform_spacing_is_exact_zero():
@@ -55,7 +57,7 @@ def test_jitter_uniform_spacing_is_exact_zero():
 
 def test_jitter_missing_below_three_frames():
     frames = [frame(100_000_000), frame(100_030_000)]
-    assert frame_jitter(frames, 100) is None
+    assert estimate_series(frames)[100].frame_jitter_ms is None
 
 
 def test_straddling_gap_belongs_to_later_window():

@@ -3,11 +3,10 @@ import struct
 import pytest
 
 from vcaqoe.ingest import (BadHeader, BadMagic, BadRow, DuplicateSecond,
-                           GroundTruthSeries, NoOverlap, SessionFiltered,
-                           Truncated, align, read_ground_truth_csv,
-                           read_packet_csv, read_pcap, write_ground_truth_csv,
-                           write_packet_csv, write_pcap)
-from vcaqoe.session import PacketRecord, QoeWindow, Session
+                           Truncated, read_ground_truth_csv, read_packet_csv,
+                           read_pcap, write_ground_truth_csv, write_packet_csv,
+                           write_pcap)
+from vcaqoe.session import QoeWindow
 from vcaqoe.synth import SenderProfile, generate
 
 
@@ -198,52 +197,6 @@ def test_ground_truth_missing_height(tmp_path):
     g = read_ground_truth_csv(str(p))
     assert g.rows[0].frame_height is None
     assert g.rows[0].frame_jitter_ms is None
-
-
-def _session_spanning(start_us, end_us):
-    packets = [PacketRecord(start_us, "1.1.1.1", "2.2.2.2", 1, 2, 700),
-               PacketRecord(end_us, "1.1.1.1", "2.2.2.2", 1, 2, 700)]
-    return Session("s", "", packets)
-
-
-def _truth(first, last):
-    rows = [QoeWindow(window_start=t, fps=30.0) for t in range(first, last + 1)]
-    return GroundTruthSeries("s", rows)
-
-
-def test_align_drops_partial_edges():
-    sess = _session_spanning(100_200_000, 110_800_000)
-    pairs = align(sess, _truth(100, 110))
-    assert [p.window_start for p in pairs] == list(range(101, 110))
-
-
-def test_align_rejects_truth_deficit():
-    sess = _session_spanning(100_200_000, 110_800_000)
-    rows = [QoeWindow(window_start=t, fps=30.0)
-            for t in (100, 102, 104, 106, 110)]
-    with pytest.raises(SessionFiltered):
-        align(sess, GroundTruthSeries("s", rows))
-
-
-def test_align_no_overlap():
-    sess = _session_spanning(100_200_000, 110_800_000)
-    with pytest.raises(NoOverlap):
-        align(sess, _truth(500, 510))
-
-
-def test_align_offset_shifts_truth():
-    sess = _session_spanning(100_200_000, 110_800_000)
-    pairs = align(sess, _truth(90, 100), offset_s=11)
-    assert [p.window_start for p in pairs] == list(range(101, 110))
-
-
-def test_align_keys_subset_of_inputs():
-    sess = _session_spanning(100_200_000, 110_800_000)
-    truth = _truth(105, 120)
-    pairs = align(sess, truth)
-    keys = {p.window_start for p in pairs}
-    assert keys <= {r.window_start for r in truth.rows}
-    assert all(100 <= k <= 110 for k in keys)
 
 
 def test_pcap_csv_same_session(tmp_path):

@@ -1,10 +1,12 @@
 import struct
 
+import numpy as np
 import pytest
 
+from vcaqoe.heuristics import window_segments
 from vcaqoe.session import (MediaClass, PacketRecord, RtpBadVersion,
                             RtpHeader, RtpTooShort, Session, parse_rtp_header,
-                            serialize_rtp_header, window_of, window_of_us)
+                            serialize_rtp_header)
 
 
 def encode_rtp(version=2, padding=0, extension=0, cc=0, marker=0, pt=0,
@@ -77,19 +79,25 @@ def test_serialize_rejects_extension():
         serialize_rtp_header(h)
 
 
+def window_of(times_us):
+    """The window key of each time, from window_segments."""
+    keys, lo, hi = window_segments(np.asarray(times_us, dtype=np.int64))
+    return np.repeat(keys, hi - lo).tolist()
+
+
 def test_window_of():
-    assert window_of(100.000001) == 100
-    assert window_of(100.999999) == 100
-    assert window_of(101.0) == 101
-    assert window_of_us(101_000_000) == 101
+    assert window_of([100_000_001, 100_999_999, 101_000_000]) == [100, 100,
+                                                                  101]
+    assert window_of([101_000_000]) == [101]
 
 
 def test_window_of_monotone_over_session():
     packets = [PacketRecord(us, "1.1.1.1", "2.2.2.2", 1, 2, 100)
                for us in (0, 5, 999_999, 1_000_000, 2_500_000)]
     s = Session("s", "", packets)
-    keys = [window_of(p.arrival_time) for p in s.packets]
+    keys = window_of(s.columns.arrival_us)
     assert keys == sorted(keys)
+    assert keys == [0, 0, 0, 1, 2]
 
 
 def test_session_rejects_unsorted():
