@@ -323,7 +323,10 @@ def cmd_sweep(args):
         table = sweeps.jitter_sweep(values, n_sessions=args.sessions,
                                     duration_s=args.duration, seeds=seeds)
     elif args.axis == "window":
-        table = sweeps.window_sweep([int(v) for v in values],
+        windows = [int(v) for v in values]
+        if min(windows) < 1:
+            raise ValueError("window values must be at least 1 second")
+        table = sweeps.window_sweep(windows,
                                     n_sessions=args.sessions,
                                     duration_s=args.duration, seed=args.seed)
     else:
@@ -416,8 +419,8 @@ def build_parser():
     p.add_argument("--target", choices=sorted(TARGET_COLUMNS),
                    required=True)
     p.add_argument("--trees", type=_positive_int, default=100)
-    p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--min-leaf", type=int, default=1)
+    p.add_argument("--depth", type=_positive_int, default=20)
+    p.add_argument("--min-leaf", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_train)
@@ -441,9 +444,9 @@ def build_parser():
     p.add_argument("--axis", choices=["window", "loss", "jitter", "lookback"],
                    required=True)
     p.add_argument("--values", required=True, help="comma-separated list")
-    p.add_argument("--sessions", type=int, default=5)
+    p.add_argument("--sessions", type=_positive_int, default=5)
     p.add_argument("--duration", type=float, default=30.0)
-    p.add_argument("--n-seeds", type=int, default=5)
+    p.add_argument("--n-seeds", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_sweep)
@@ -466,27 +469,38 @@ def _apply_config(parser, argv):
                 continue
             key, _, value = line.partition("=")
             defaults[key.strip().replace("-", "_")] = value.strip()
-    for action in parser._subparsers._group_actions[0].choices.values():
-        known = {a.dest: a for a in action._actions}
-        for key, value in defaults.items():
-            if key not in known:
-                continue
-            if isinstance(known[key], argparse._StoreTrueAction):
-                value = _config_flag(key, value)
-            elif known[key].type is not None:
-                value = known[key].type(value)
-            action.set_defaults(**{key: value})
-    return argv[:i] + argv[i + 2:]
+    argv = argv[:i] + argv[i + 2:]
+    commands = parser._subparsers._group_actions[0].choices
+    known = {a.dest for p in commands.values() for a in p._actions}
+    for key in defaults:
+        if key not in known:
+            raise ValueError(f"config key {key!r} is not an option of any "
+                             "subcommand")
+    command = next((a for a in argv if a in commands), None)
+    if command is None:
+        return argv
+    actions = {a.dest: a for a in commands[command]._actions}
+    for key, value in defaults.items():
+        if key in actions:
+            commands[command].set_defaults(
+                **{key: _config_value(actions[key], value)})
+    return argv
 
 
-def _config_flag(key, value):
-    """The bool a config file gives an on/off flag."""
-    flag = {"true": True, "1": True, "false": False, "0": False}.get(
-        value.lower())
-    if flag is None:
-        raise ValueError(f"config {key}={value}: expected true, false, 1 "
-                         "or 0")
-    return flag
+def _config_value(action, value):
+    """A config file's value for one option, converted as its flag would
+    be; an append option takes a comma-separated list."""
+    if isinstance(action, argparse._StoreTrueAction):
+        flag = {"true": True, "1": True, "false": False, "0": False}.get(
+            value.lower())
+        if flag is None:
+            raise ValueError(f"config {action.dest}={value}: expected true, "
+                             "false, 1 or 0")
+        return flag
+    convert = action.type or str
+    if isinstance(action, argparse._AppendAction):
+        return [convert(v.strip()) for v in value.split(",")]
+    return convert(value)
 
 
 def run(argv=None):

@@ -50,20 +50,13 @@ class _Tree:
         self.right = []
         self.value = []
 
-    def add_leaf(self, value):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        return len(self.feature) - 1
-
-    def add_split(self, feature, threshold):
+    def add(self, feature, threshold, value):
+        """Append a node (a leaf when feature is -1); children come later."""
         self.feature.append(feature)
         self.threshold.append(threshold)
         self.left.append(-1)
         self.right.append(-1)
-        self.value.append(0.0)
+        self.value.append(value)
         return len(self.feature) - 1
 
     def finalize(self):
@@ -115,58 +108,40 @@ def _gini_impurity(counts):
     return float(1.0 - np.dot(p, p))
 
 
-def _best_split_regression(Xf, y, min_leaf):
-    """Best (threshold, weighted child impurity) for one feature column.
+def _best_split(X, y, min_leaf, child_impurity):
+    """Best (weighted child impurity, column, threshold) over X's columns.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values; the first (lowest-threshold) minimizer wins ties.
+    values of a column. Ties go to the lowest column, then the lowest
+    threshold. child_impurity(ys, nl, nr) scores every cut of the columns'
+    sorted targets ys as nl * left impurity + nr * right impurity. None
+    when no cut leaves min_leaf rows on each side.
     """
-    order = np.argsort(Xf, kind="mergesort")
-    xs = Xf[order]
-    ys = y[order]
-    n = len(ys)
-    cs = np.cumsum(ys)
-    css = np.cumsum(ys * ys)
-    nl = np.arange(1, n)
+    n = len(y)
+    order = np.argsort(X, axis=0, kind="mergesort")
+    xs = np.take_along_axis(X, order, axis=0)
+    nl = np.arange(1, n)[:, None]
     nr = n - nl
-    sl = cs[:-1]
-    ssl = css[:-1]
-    var_l = np.maximum(ssl / nl - (sl / nl) ** 2, 0.0)
-    var_r = np.maximum((css[-1] - ssl) / nr - ((cs[-1] - sl) / nr) ** 2, 0.0)
-    weighted = (nl * var_l + nr * var_r) / n
     valid = (xs[1:] > xs[:-1]) & (nl >= min_leaf) & (nr >= min_leaf)
     if not valid.any():
         return None
-    weighted = np.where(valid, weighted, np.inf)
-    j = int(np.argmin(weighted))
-    return (xs[j] + xs[j + 1]) / 2.0, float(weighted[j])
-
-
-def _best_split_classification(Xf, y_codes, n_classes, min_leaf):
-    order = np.argsort(Xf, kind="mergesort")
-    xs = Xf[order]
-    onehot = np.zeros((len(xs), n_classes), dtype=np.float64)
-    onehot[np.arange(len(xs)), y_codes[order]] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    n = len(xs)
-    total = cum[-1]
-    left = cum[:-1]
-    right = total - left
-    nl = np.arange(1, n, dtype=np.float64)
-    nr = n - nl
-    gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
-    gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
-    weighted = (nl * gini_l + nr * gini_r) / n
-    valid = (xs[1:] > xs[:-1]) & (nl >= min_leaf) & (nr >= min_leaf)
-    if not valid.any():
-        return None
-    weighted = np.where(valid, weighted, np.inf)
-    j = int(np.argmin(weighted))
-    return (xs[j] + xs[j + 1]) / 2.0, float(weighted[j])
+    weighted = np.where(valid, child_impurity(y[order], nl, nr) / n, np.inf)
+    col, j = divmod(int(np.argmin(weighted.T)), n - 1)
+    return (float(weighted[j, col]), col,
+            (xs[j, col] + xs[j + 1, col]) / 2.0)
 
 
 class _BaseForest:
     """sklearn-style param handling shared by both forest estimators."""
+
+    def __init__(self, n_trees=100, max_depth=20, min_samples_leaf=1,
+                 max_features=None, bootstrap=True, seed=0):
+        self.n_trees = n_trees
+        self.max_depth = max_depth
+        self.min_samples_leaf = min_samples_leaf
+        self.max_features = max_features
+        self.bootstrap = bootstrap
+        self.seed = seed
 
     def get_params(self, deep=True):
         names = inspect.signature(type(self).__init__).parameters
@@ -186,10 +161,7 @@ class _BaseForest:
             mf = self._default_max_features(d)
         return max(1, min(int(mf), d))
 
-    def fit(self, X, y, bootstrap_indices=None):
-        """Fit the forest. bootstrap_indices (one index array per tree)
-        overrides the internal bootstrap draw; used to pin resampling in
-        tests."""
+    def fit(self, X, y):
         X, y = check_X_y(X, y)
         n, d = X.shape
         if n == 0:
@@ -201,9 +173,7 @@ class _BaseForest:
         self.trees_ = []
         for t in range(int(self.n_trees)):
             rng = np.random.default_rng([int(self.seed), t])
-            if bootstrap_indices is not None:
-                idx = np.asarray(bootstrap_indices[t], dtype=np.int64)
-            elif self.bootstrap:
+            if self.bootstrap:
                 idx = rng.integers(0, n, n)
             else:
                 idx = np.arange(n)
@@ -224,21 +194,16 @@ class _BaseForest:
         impurity = self._impurity(y)
         if (depth >= int(self.max_depth) or impurity <= 0.0
                 or n < 2 * int(self.min_samples_leaf)):
-            return tree.add_leaf(self._leaf_value(y))
-        feats = rng.choice(d, size=mf, replace=False)
-        best = None  # (weighted_impurity, feature, threshold)
-        for f in sorted(feats):
-            res = self._best_split(X[:, f], y, int(self.min_samples_leaf))
-            if res is None:
-                continue
-            thr, weighted = res
-            if best is None or weighted < best[0]:
-                best = (weighted, int(f), thr)
+            return tree.add(-1, 0.0, self._leaf_value(y))
+        feats = np.sort(rng.choice(d, size=mf, replace=False))
+        best = _best_split(X[:, feats], y, int(self.min_samples_leaf),
+                           self._child_impurity)
         if best is None or impurity - best[0] <= 1e-12:
-            return tree.add_leaf(self._leaf_value(y))
-        weighted, f, thr = best
+            return tree.add(-1, 0.0, self._leaf_value(y))
+        weighted, col, thr = best
+        f = int(feats[col])
         importances[f] += (n / n_root) * (impurity - weighted)
-        node = tree.add_split(f, thr)
+        node = tree.add(f, thr, 0.0)
         mask = X[:, f] <= thr
         tree.left[node] = self._grow(tree, X[mask], y[mask], depth + 1,
                                      rng, mf, importances, n_root)
@@ -258,15 +223,6 @@ class _BaseForest:
 class RandomForestRegressor(_BaseForest):
     task = "regression"
 
-    def __init__(self, n_trees=100, max_depth=20, min_samples_leaf=1,
-                 max_features=None, bootstrap=True, seed=0):
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.bootstrap = bootstrap
-        self.seed = seed
-
     def _default_max_features(self, d):
         return math.ceil(d / 3)
 
@@ -279,8 +235,15 @@ class RandomForestRegressor(_BaseForest):
     def _leaf_value(self, y):
         return float(np.mean(y))
 
-    def _best_split(self, Xf, y, min_leaf):
-        return _best_split_regression(Xf, y, min_leaf)
+    def _child_impurity(self, ys, nl, nr):
+        cs = np.cumsum(ys, axis=0)
+        css = np.cumsum(ys * ys, axis=0)
+        sl = cs[:-1]
+        ssl = css[:-1]
+        var_l = np.maximum(ssl / nl - (sl / nl) ** 2, 0.0)
+        var_r = np.maximum((css[-1] - ssl) / nr - ((cs[-1] - sl) / nr) ** 2,
+                           0.0)
+        return nl * var_l + nr * var_r
 
     def predict(self, X):
         return self._predict_matrix(X).mean(axis=0)
@@ -288,15 +251,6 @@ class RandomForestRegressor(_BaseForest):
 
 class RandomForestClassifier(_BaseForest):
     task = "classification"
-
-    def __init__(self, n_trees=100, max_depth=20, min_samples_leaf=1,
-                 max_features=None, bootstrap=True, seed=0):
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.bootstrap = bootstrap
-        self.seed = seed
 
     def _default_max_features(self, d):
         return max(1, int(math.sqrt(d)))
@@ -315,18 +269,20 @@ class RandomForestClassifier(_BaseForest):
         counts = np.bincount(codes, minlength=self._n_classes)
         return float(np.argmax(counts))
 
-    def _best_split(self, Xf, codes, min_leaf):
-        return _best_split_classification(Xf, codes, self._n_classes,
-                                          min_leaf)
+    def _child_impurity(self, codes, nl, nr):
+        cum = np.cumsum(codes[..., None] == np.arange(self._n_classes),
+                        axis=0)
+        left = cum[:-1]
+        right = cum[-1] - left
+        gini_l = 1.0 - ((left / nl[..., None]) ** 2).sum(axis=2)
+        gini_r = 1.0 - ((right / nr[..., None]) ** 2).sum(axis=2)
+        return nl * gini_l + nr * gini_r
 
     def predict(self, X):
+        # first-max vote, so ties break to the lowest label
         votes = self._predict_matrix(X).astype(np.int64)
-        n_classes = len(self.classes_)
-        out = np.empty(votes.shape[1], dtype=np.int64)
-        for i in range(votes.shape[1]):
-            out[i] = np.argmax(np.bincount(votes[:, i],
-                                           minlength=n_classes))
-        return self.classes_[out]
+        counts = (votes[..., None] == np.arange(len(self.classes_))).sum(0)
+        return self.classes_[counts.argmax(axis=1)]
 
 
 def kfold_by_session(groups, k=5, seed=0):

@@ -319,3 +319,70 @@ def test_reported_and_scored_windows_are_session_windows(tmp_path):
         scored, _ = paired_metric(series, truth.rows, "window_start",
                                   session, w=w)
         assert scored == windows
+
+
+def _with_config(tmp_path, text, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return run(["--config", str(cfg)] + argv)
+
+
+def test_config_append_option_takes_a_list(tmp_path, corpus):
+    est = tmp_path / "est.csv"
+    assert run(["analyze", str(corpus / "synth-100.packets.csv"),
+                "-o", str(est)]) == 0
+    truth = str(corpus / "synth-100.truth.csv")
+    for text, keys in (("tol=2\n", ["2.0"]), ("tol = 1, 3\n", ["1.0", "3.0"])):
+        report = tmp_path / "fps.json"
+        assert _with_config(tmp_path, text, ["evaluate", str(est), truth,
+                                             "-o", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert sorted(doc["within_tolerance"]) == keys
+
+
+def test_config_unknown_key_is_an_input_error(tmp_path, corpus, capsys):
+    est = tmp_path / "est.csv"
+    assert _with_config(tmp_path, "lookbak=3\n", [
+        "analyze", str(corpus / "synth-100.packets.csv"),
+        "-o", str(est)]) == 1
+    assert "lookbak" in capsys.readouterr().err
+    assert not est.exists()
+
+
+def test_config_keys_of_other_subcommands_are_not_converted(tmp_path,
+                                                            corpus):
+    packets = str(corpus / "synth-100.packets.csv")
+    plain, configured = tmp_path / "plain.csv", tmp_path / "configured.csv"
+    assert run(["analyze", packets, "-o", str(plain)]) == 0
+    text = "trees=0\nretransmit=maybe\n"
+    assert _with_config(tmp_path, text, ["analyze", packets,
+                                         "-o", str(configured)]) == 0
+    assert configured.read_bytes() == plain.read_bytes()
+    feats, model = tmp_path / "features.csv", tmp_path / "model.json"
+    assert run(["features", packets, "-o", str(feats)]) == 0
+    assert _with_config(tmp_path, text, ["train", str(feats), "--target",
+                                         "fps", "-o", str(model)]) == 1
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--axis", "loss", "--values", "0", "--n-seeds", "0"],
+    ["--axis", "loss", "--values", "0", "--sessions", "0"],
+    ["--axis", "window", "--values", "0"],
+    ["--axis", "window", "--values", "2,0.5"],
+])
+def test_sweep_bad_sizes_are_input_errors(tmp_path, flags):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", *flags, "--duration", "4", "-o", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_train_sizes_below_one_are_input_errors(tmp_path, corpus):
+    feats = tmp_path / "features.csv"
+    assert run(["features", str(corpus), "-o", str(feats)]) == 0
+    for flag, value in (("--min-leaf", "0"), ("--min-leaf", "-2"),
+                        ("--depth", "0"), ("--depth", "-1")):
+        model = tmp_path / "model.json"
+        assert run(["train", str(feats), "--target", "fps", "--trees", "2",
+                    flag, value, "-o", str(model)]) == 1
+        assert not model.exists()

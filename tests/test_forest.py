@@ -84,16 +84,6 @@ def test_fit_is_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_explicit_bootstrap_indices_respected():
-    # pinning each tree to rows of one class forces constant predictions
-    X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    y = np.array([5.0, 5.0, 9.0, 9.0])
-    idx = [np.array([0, 1]), np.array([0, 1])]
-    m = RandomForestRegressor(n_trees=2, seed=0).fit(X, y,
-                                                     bootstrap_indices=idx)
-    assert np.allclose(m.predict(X), 5.0)
-
-
 def test_importances_find_informative_feature():
     rng = np.random.default_rng(15)
     X = rng.normal(size=(500, 6))

@@ -17,6 +17,8 @@ from vcaqoe.assembly import (IpUdpAssemblyParams, assemble_ipudp,
 from vcaqoe.classify import (SizeThreshold, classify_by_payload_type,
                              classify_by_size)
 from vcaqoe.features import SemanticParams, session_feature_rows
+from vcaqoe.forest import (RandomForestClassifier, RandomForestRegressor,
+                           _best_split)
 from vcaqoe.heuristics import estimate_series
 from vcaqoe.ingest import (read_packet_csv, read_pcap, write_packet_csv,
                            write_pcap)
@@ -309,3 +311,94 @@ def test_read_pcap_rtp_rule_matches_parse_rtp_header(
                         ext_words_present, tail, padding)[:cut]
     got, captured = read_one_payload(payload, snap)
     assert got == parsed_or_none(captured)
+
+
+def reference_cut_scores(xs, ys, task, n_classes):
+    """Weighted child impurity of every cut of one sorted column, with the
+    per-column arithmetic: running sums for variance, running one-hot
+    counts for Gini."""
+    n = len(ys)
+    nl = np.arange(1, n)
+    nr = n - nl
+    if task == "regression":
+        cs = np.cumsum(ys)
+        css = np.cumsum(ys * ys)
+        sl, ssl = cs[:-1], css[:-1]
+        var_l = np.maximum(ssl / nl - (sl / nl) ** 2, 0.0)
+        var_r = np.maximum((css[-1] - ssl) / nr - ((cs[-1] - sl) / nr) ** 2,
+                           0.0)
+        return (nl * var_l + nr * var_r) / n
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), ys] = 1.0
+    cum = np.cumsum(onehot, axis=0)
+    left, right = cum[:-1], cum[-1] - cum[:-1]
+    gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+    gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+    return (nl * gini_l + nr * gini_r) / n
+
+
+def reference_best_split(X, y, min_leaf, task, n_classes):
+    """One column at a time, one cut at a time: the lowest score wins, and
+    a later column or a higher threshold must score strictly lower."""
+    n, m = X.shape
+    best = None
+    for col in range(m):
+        order = np.argsort(X[:, col], kind="mergesort")
+        xs = X[order, col]
+        scores = reference_cut_scores(xs, y[order], task, n_classes)
+        for j in range(n - 1):
+            if xs[j + 1] == xs[j] or min(j + 1, n - j - 1) < min_leaf:
+                continue
+            if best is None or scores[j] < best[0]:
+                best = (float(scores[j]), col, (xs[j] + xs[j + 1]) / 2.0)
+    return best
+
+
+@st.composite
+def split_problems(draw):
+    """A small integer matrix and labels, so that cuts tie within a column
+    and across columns."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 4))
+    X = draw(st.lists(st.lists(st.integers(0, 3), min_size=m, max_size=m),
+                      min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n,
+                           max_size=n))
+    return X, labels
+
+
+# both columns split the labels perfectly: the lower column wins although
+# the higher one's cut comes first in its sorted order
+LOWER_COLUMN_WINS = ([[3, 0], [2, 1], [1, 2], [0, 3]], [0, 1, 1, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=split_problems(), min_leaf=st.integers(1, 3),
+       task=st.sampled_from(["regression", "classification"]))
+@example(problem=LOWER_COLUMN_WINS, min_leaf=1, task="regression")
+@example(problem=LOWER_COLUMN_WINS, min_leaf=1, task="classification")
+def test_best_split_matches_per_column_scan(problem, min_leaf, task):
+    X = np.array(problem[0], dtype=float)
+    if task == "regression":
+        model = RandomForestRegressor()
+    else:
+        model = RandomForestClassifier()
+    y = model._encode_targets(problem[1])
+    n_classes = len(np.unique(problem[1]))
+    got = _best_split(X, y, min_leaf, model._child_impurity)
+    assert got == reference_best_split(X, y, min_leaf, task, n_classes)
+
+
+@pytest.mark.parametrize("cls", [RandomForestRegressor,
+                                 RandomForestClassifier])
+def test_duplicated_feature_splits_on_the_lower_index(cls):
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 8, (300, 4)).astype(float)
+    X[:, 3] = X[:, 1]
+    y = (X[:, 1] + rng.integers(0, 3, 300)) % 4
+    model = cls(n_trees=5, max_features=4, min_samples_leaf=2,
+                seed=4).fit(X, y)
+    used = np.concatenate([tree.feature for tree in model.trees_])
+    assert 1 in used
+    assert 3 not in used
