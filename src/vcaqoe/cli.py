@@ -185,10 +185,16 @@ def cmd_features(args):
 def _read_feature_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        data = [row for row in reader if row]
+        header = next(reader, [])
+        data = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise IngestError(f"{path}: line {reader.line_num} has "
+                                  f"{len(row)} fields, header has "
+                                  f"{len(header)}")
+            data.append(row)
     if header[:2] != ["session_id", "window_start"]:
-        raise IngestError("not a feature CSV (missing key columns)")
+        raise IngestError(f"{path}: not a feature CSV (missing key columns)")
     truth_cols = ["fps", "bitrate_kbps", "frame_jitter_ms", "frame_height"]
     names = header[2:]
     n_truth = 4 if names[-4:] == truth_cols else 0
@@ -196,7 +202,8 @@ def _read_feature_csv(path):
         names = names[:-4]
     sessions = [r[0] for r in data]
     windows = [int(r[1]) for r in data]
-    X = np.array([[float(v) for v in r[2:2 + len(names)]] for r in data])
+    X = np.array([[float(v) for v in r[2:2 + len(names)]] for r in data],
+                 dtype=np.float64).reshape(len(data), len(names))
     truth = {}
     if n_truth:
         for col, j in zip(truth_cols, range(len(header) - 4, len(header))):
@@ -208,6 +215,8 @@ def _read_feature_csv(path):
 
 def cmd_train(args):
     sessions, _windows, names, X, truth = _read_feature_csv(args.data)
+    if not len(X):
+        raise IngestError(f"{args.data}: feature CSV has no rows")
     col = TARGET_COLUMNS[args.target]
     if col not in truth:
         raise IngestError(f"feature CSV lacks target column {col}")

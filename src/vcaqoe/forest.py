@@ -43,29 +43,11 @@ class _Tree:
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
-    def __init__(self):
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
-
-    def add(self, feature, threshold, value):
-        """Append a node (a leaf when feature is -1); children come later."""
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        return len(self.feature) - 1
-
-    def finalize(self):
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.value = np.asarray(self.value, dtype=np.float64)
-        return self
+    def __init__(self, feature, threshold, left, right, value):
+        self.feature, self.left, self.right = (
+            np.asarray(a, dtype=np.int64) for a in (feature, left, right))
+        self.threshold, self.value = (
+            np.asarray(a, dtype=np.float64) for a in (threshold, value))
 
     def predict(self, X):
         node = np.zeros(X.shape[0], dtype=np.int64)
@@ -79,56 +61,85 @@ class _Tree:
         return self.value[node]
 
     def to_dict(self):
-        return {"feature": self.feature.tolist(),
-                "threshold": self.threshold.tolist(),
-                "left": self.left.tolist(),
-                "right": self.right.tolist(),
-                "value": self.value.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        t = cls()
-        t.feature = d["feature"]
-        t.threshold = d["threshold"]
-        t.left = d["left"]
-        t.right = d["right"]
-        t.value = d["value"]
-        return t.finalize()
+        return {k: getattr(self, k).tolist() for k in self.__slots__}
 
 
-def _variance_impurity(y):
-    return float(np.var(y)) if len(y) else 0.0
+# (row, drawn feature) entries one level of a group of trees sorts at once:
+# bounds a level's memory, and lets shallow trees share a level's overhead.
+_LEVEL_ENTRIES = 1 << 15
 
 
-def _gini_impurity(counts):
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - np.dot(p, p))
+def _ranges(starts, lengths):
+    """Concatenation of the ranges [starts[i], starts[i] + lengths[i])."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
 
 
-def _best_split(X, y, min_leaf, child_impurity):
-    """Best (weighted child impurity, column, threshold) over X's columns.
+def _column_ranks(X):
+    """Every column's sorted distinct values, laid end to end, and the
+    index of each X[row, f] among them as ranks[f, row]."""
+    values, ranks = zip(*(np.unique(c, return_inverse=True) for c in X.T))
+    offsets = np.cumsum([0] + [len(v) for v in values[:-1]])[:, None]
+    return np.stack(ranks) + offsets, np.concatenate(values)
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values of a column. Ties go to the lowest column, then the lowest
-    threshold. child_impurity(ys, nl, nr) scores every cut of the columns'
-    sorted targets ys as nl * left impurity + nr * right impurity. None
-    when no cut leaves min_leaf rows on each side.
+
+def _best_splits(ranks, values, stats, rows, counts, feats, min_leaf):
+    """Best cut of each node of a level over its drawn features.
+
+    Node j owns the next counts[j] entries of rows, with split statistics
+    in the same entries of stats, and may cut on the ascending features
+    feats[j] (ranks, values: see _column_ranks). A cut's gain, the node's
+    impurity less its children's weighted impurity, is the sum over the
+    columns of stats of (L**2 / nl + R**2 / nr - T**2 / n) / n, with L, R
+    and T the column's left, right and node sums. A threshold is the
+    midpoint of two consecutive distinct values in the node. Cuts within
+    1e-9 (relative) of the best gain tie with it, so rounding never picks
+    among equal cuts; ties go to the lowest feature, then the lowest
+    threshold. Returns per node the gain (0 where no cut leaves min_leaf
+    rows a side), feature, threshold and left size, and rows sorted on
+    each node's feature.
     """
-    n = len(y)
-    order = np.argsort(X, axis=0, kind="mergesort")
-    xs = np.take_along_axis(X, order, axis=0)
-    nl = np.arange(1, n)[:, None]
-    nr = n - nl
-    valid = (xs[1:] > xs[:-1]) & (nl >= min_leaf) & (nr >= min_leaf)
-    if not valid.any():
-        return None
-    weighted = np.where(valid, child_impurity(y[order], nl, nr) / n, np.inf)
-    col, j = divmod(int(np.argmin(weighted.T)), n - 1)
-    return (float(weighted[j, col]), col,
-            (xs[j, col] + xs[j + 1, col]) / 2.0)
+    m, mf = feats.shape
+    n_pair = np.repeat(counts, mf)
+    pair_end = np.cumsum(n_pair)
+    pair_start = pair_end - n_pair
+    at = _ranges(np.repeat(np.cumsum(counts) - counts, mf), n_pair)
+    stride = np.int64(len(values))
+    # one sort orders every pair's rows: pair-major, then by value
+    key = np.repeat(np.arange(m * mf) * stride, n_pair) + ranks.ravel()[
+        np.repeat(feats.ravel() * ranks.shape[1], n_pair) + rows[at]]
+    order = np.argsort(key)
+    key, at = key[order], at[order]
+    del order
+    cut = np.flatnonzero(key[1:] > key[:-1])
+    pair = key[cut] // stride
+    nl = cut - pair_start[pair] + 1
+    nr = n_pair[pair] - nl
+    keep = (nl >= min_leaf) & (nr >= min_leaf)
+    cut, pair, nl, nr = cut[keep], pair[keep], nl[keep], nr[keep]
+    gain = 0.0
+    for column in stats.T:
+        cs = np.cumsum(column[at])
+        end = cs[pair_end - 1]
+        base = np.concatenate([[0], end[:-1]])
+        left, total = cs[cut] - base[pair], (end - base)[pair]
+        gain = (gain + left ** 2 / nl + (total - left) ** 2 / nr
+                - total ** 2 / (nl + nr))
+    gain = gain / (nl + nr)
+    node = pair // mf
+    first = np.flatnonzero(np.diff(node, prepend=-1))
+    high = np.maximum.reduceat(gain, first)
+    high = np.repeat(high, np.diff(first, append=len(cut)))
+    hit = np.flatnonzero(gain >= high - 1e-9 * np.abs(high))
+    win = hit[np.diff(node[hit], prepend=-1) != 0]   # each node's first
+    j, offset = node[win], pair[win] * stride
+    best, best_pair = np.zeros(m), np.arange(m) * mf
+    threshold, n_left = np.zeros(m), np.zeros(m, dtype=np.int64)
+    best[j], best_pair[j], n_left[j] = gain[win], pair[win], nl[win]
+    threshold[j] = (values[key[cut[win]] - offset]
+                    + values[key[cut[win] + 1] - offset]) / 2.0
+    return (best, feats.ravel()[best_pair], threshold, n_left,
+            rows[at[_ranges(pair_start[best_pair], counts)]])
 
 
 class _BaseForest:
@@ -169,47 +180,71 @@ class _BaseForest:
         y = self._encode_targets(y)
         mf = self._resolve_max_features(d)
         self.n_features_ = d
+        ranks, values = _column_ranks(X)
+        per_group = max(1, _LEVEL_ENTRIES // (n * mf))
         importances = np.zeros(d)
         self.trees_ = []
-        for t in range(int(self.n_trees)):
-            rng = np.random.default_rng([int(self.seed), t])
-            if self.bootstrap:
-                idx = rng.integers(0, n, n)
-            else:
-                idx = np.arange(n)
-            tree = _Tree()
-            imp = np.zeros(d)
-            self._grow(tree, X[idx], y[idx], 0, rng, mf, imp, len(idx))
-            self.trees_.append(tree.finalize())
-            s = imp.sum()
-            if s > 0:
-                importances += imp / s
+        for first in range(0, int(self.n_trees), per_group):
+            group = range(first, min(first + per_group, int(self.n_trees)))
+            trees, imp = self._grow(ranks, values, y, group, mf)
+            self.trees_ += trees
+            totals = imp.sum(axis=1, keepdims=True)
+            importances += (imp / np.where(totals > 0, totals, 1)).sum(axis=0)
         s = importances.sum()
         self.feature_importances_ = (importances / s if s > 0
                                      else np.zeros(d))
         return self
 
-    def _grow(self, tree, X, y, depth, rng, mf, importances, n_root):
-        n, d = X.shape
-        impurity = self._impurity(y)
-        if (depth >= int(self.max_depth) or impurity <= 0.0
-                or n < 2 * int(self.min_samples_leaf)):
-            return tree.add(-1, 0.0, self._leaf_value(y))
-        feats = np.sort(rng.choice(d, size=mf, replace=False))
-        best = _best_split(X[:, feats], y, int(self.min_samples_leaf),
-                           self._child_impurity)
-        if best is None or impurity - best[0] <= 1e-12:
-            return tree.add(-1, 0.0, self._leaf_value(y))
-        weighted, col, thr = best
-        f = int(feats[col])
-        importances[f] += (n / n_root) * (impurity - weighted)
-        node = tree.add(f, thr, 0.0)
-        mask = X[:, f] <= thr
-        tree.left[node] = self._grow(tree, X[mask], y[mask], depth + 1,
-                                     rng, mf, importances, n_root)
-        tree.right[node] = self._grow(tree, X[~mask], y[~mask], depth + 1,
-                                      rng, mf, importances, n_root)
-        return node
+    def _grow(self, ranks, values, y, group, mf):
+        """Grow the trees of group breadth-first, one level of all of them
+        at a time; returns them and their per-tree importances."""
+        n, d, g = len(y), len(ranks), len(group)
+        min_leaf = int(self.min_samples_leaf)
+        rngs = [np.random.default_rng([int(self.seed), t]) for t in group]
+        rows = np.concatenate([rng.integers(0, n, n) if self.bootstrap
+                               else np.arange(n) for rng in rngs])
+        counts = np.full(g, n)
+        tree = np.arange(g)     # a level's nodes, ordered by tree
+        importances = np.zeros((g, d))
+        levels = []
+        depth = 0
+        while len(counts):
+            m = len(counts)
+            impurity, value, stats = self._node_stats(
+                y[rows], np.repeat(np.arange(m), counts), m)
+            feature, threshold = np.full(m, -1), np.zeros(m)
+            levels.append((tree, feature, threshold, value))
+            split = np.flatnonzero((impurity > 0.0)
+                                   & (counts >= 2 * min_leaf))
+            if depth >= int(self.max_depth) or not len(split):
+                break
+            drawn = np.bincount(tree[split], minlength=g)
+            feats = np.concatenate([
+                np.sort(np.argsort(rng.random((c, d)), axis=1)[:, :mf],
+                        axis=1) for rng, c in zip(rngs, drawn) if c])
+            size = counts[split]
+            pick = _ranges((np.cumsum(counts) - counts)[split], size)
+            gain, f, thr, n_left, rows = _best_splits(
+                ranks, values, stats[pick], rows[pick], size, feats, min_leaf)
+            ok = gain > 1e-12
+            done = split[ok]
+            feature[done], threshold[done], value[done] = f[ok], thr[ok], 0.0
+            np.add.at(importances, (tree[done], f[ok]),
+                      size[ok] / n * gain[ok])
+            rows = rows[_ranges((np.cumsum(size) - size)[ok], size[ok])]
+            counts = np.column_stack([n_left[ok],
+                                      size[ok] - n_left[ok]]).ravel()
+            tree = np.repeat(tree[done], 2)
+            depth += 1
+        tree, *arrays = (np.concatenate(a) for a in zip(*levels))
+        trees = []
+        for t in range(g):
+            # breadth-first: split k's children are nodes 2k + 1 and 2k + 2
+            f, thr, v = (a[tree == t] for a in arrays)
+            left = np.where(f >= 0, 2 * np.cumsum(f >= 0) - 1, -1)
+            right = np.where(f >= 0, left + 1, -1)
+            trees.append(_Tree(f, thr, left, right, v))
+        return trees, importances
 
     def _predict_matrix(self, X):
         check_fitted(self)
@@ -229,21 +264,15 @@ class RandomForestRegressor(_BaseForest):
     def _encode_targets(self, y):
         return np.asarray(y, dtype=np.float64)
 
-    def _impurity(self, y):
-        return _variance_impurity(y)
-
-    def _leaf_value(self, y):
-        return float(np.mean(y))
-
-    def _child_impurity(self, ys, nl, nr):
-        cs = np.cumsum(ys, axis=0)
-        css = np.cumsum(ys * ys, axis=0)
-        sl = cs[:-1]
-        ssl = css[:-1]
-        var_l = np.maximum(ssl / nl - (sl / nl) ** 2, 0.0)
-        var_r = np.maximum((css[-1] - ssl) / nr - ((cs[-1] - sl) / nr) ** 2,
-                           0.0)
-        return nl * var_l + nr * var_r
+    def _node_stats(self, y, node, m):
+        """Per node variance and mean; per row the split statistic, the
+        target less the node's mean rounded to an integer. Integer targets
+        keep exact sums, and a level's running sums stay small, so a
+        node's cuts keep their precision wherever it lies in the level."""
+        n = np.bincount(node, minlength=m)
+        mean = np.bincount(node, y, m) / n
+        return (np.bincount(node, (y - mean[node]) ** 2, m) / n, mean,
+                (y - np.round(mean)[node])[:, None])
 
     def predict(self, X):
         return self._predict_matrix(X).mean(axis=0)
@@ -260,23 +289,13 @@ class RandomForestClassifier(_BaseForest):
         self._n_classes = len(self.classes_)
         return codes.astype(np.int64)
 
-    def _impurity(self, codes):
-        counts = np.bincount(codes, minlength=self._n_classes).astype(float)
-        return _gini_impurity(counts)
-
-    def _leaf_value(self, codes):
-        # majority class; ties break to the lowest label index
-        counts = np.bincount(codes, minlength=self._n_classes)
-        return float(np.argmax(counts))
-
-    def _child_impurity(self, codes, nl, nr):
-        cum = np.cumsum(codes[..., None] == np.arange(self._n_classes),
-                        axis=0)
-        left = cum[:-1]
-        right = cum[-1] - left
-        gini_l = 1.0 - ((left / nl[..., None]) ** 2).sum(axis=2)
-        gini_r = 1.0 - ((right / nr[..., None]) ** 2).sum(axis=2)
-        return nl * gini_l + nr * gini_r
+    def _node_stats(self, codes, node, m):
+        k = self._n_classes
+        counts = np.bincount(node * k + codes, minlength=m * k).reshape(m, k)
+        p = counts / counts.sum(axis=1, keepdims=True)
+        # majority class, ties to the lowest label; one-hot split statistics
+        return (1.0 - (p * p).sum(axis=1), np.argmax(counts, axis=1) * 1.0,
+                codes[:, None] == np.arange(k))
 
     def predict(self, X):
         # first-max vote, so ties break to the lowest label
@@ -333,25 +352,49 @@ def save_forest(model, path, feature_names):
     _atomic_write_bytes(path, json.dumps(doc, sort_keys=True).encode())
 
 
+def _check_trees(trees, n_features):
+    """ForestError unless each tree's arrays have one non-zero length and
+    each split names a known feature and two nodes after it."""
+    sizes = [len(t.feature) for t in trees]
+    if not all(sizes) or any(len(getattr(t, k)) != n for t, n in
+                             zip(trees, sizes) for k in _Tree.__slots__):
+        raise ForestError("tree arrays are empty or differ in length")
+    f, left, right = (np.concatenate([getattr(t, k) for t in trees])
+                      for k in ("feature", "left", "right"))
+    end = np.repeat(sizes, sizes)
+    node = np.arange(len(f)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    lo, hi = np.minimum(left, right), np.maximum(left, right)
+    if ((f >= n_features) | (f >= 0) & ((lo <= node) | (hi >= end))).any():
+        raise ForestError("a tree splits on an unknown feature or node")
+
+
 def load_forest(path, expected_feature_names=None):
     """Load a serialized forest; feature names must match when given."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ForestError(f"{path}: not a model (no JSON object)")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ForestError(
             f"unsupported model format {doc.get('format_version')}")
-    names = doc["feature_names"]
+    try:
+        names = list(doc["feature_names"])
+        cls = {"regression": RandomForestRegressor,
+               "classification": RandomForestClassifier}[doc["task"]]
+        model = cls(**doc["params"])
+        model.trees_ = [_Tree(**t) for t in doc["trees"]]
+        _check_trees(model.trees_, len(names))
+        model.feature_importances_ = np.asarray(doc["feature_importances"],
+                                                dtype=np.float64)
+        if cls is RandomForestClassifier:
+            model.classes_ = np.asarray(doc["classes"])
+    except (KeyError, TypeError, ValueError, ForestError) as exc:
+        raise ForestError(f"{path}: malformed model "
+                          f"({type(exc).__name__}: {exc})") from exc
     if (expected_feature_names is not None
             and list(expected_feature_names) != names):
         raise FeatureNameMismatch(
             f"model was trained on {names}, got {list(expected_feature_names)}")
-    cls = (RandomForestRegressor if doc["task"] == "regression"
-           else RandomForestClassifier)
-    model = cls(**doc["params"])
-    model.trees_ = [_Tree.from_dict(t) for t in doc["trees"]]
     model.n_features_ = len(names)
     model.feature_names_ = names
-    model.feature_importances_ = np.asarray(doc["feature_importances"])
-    if doc["task"] == "classification":
-        model.classes_ = np.asarray(doc["classes"])
     return model

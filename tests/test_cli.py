@@ -386,3 +386,68 @@ def test_train_sizes_below_one_are_input_errors(tmp_path, corpus):
         assert run(["train", str(feats), "--target", "fps", "--trees", "2",
                     flag, value, "-o", str(model)]) == 1
         assert not model.exists()
+
+
+@pytest.fixture(scope="module")
+def fps_model(tmp_path_factory, corpus):
+    """A feature CSV of the corpus and an fps model trained on it."""
+    root = tmp_path_factory.mktemp("fps_model")
+    feats, model = root / "features.csv", root / "fps.model.json"
+    assert run(["features", str(corpus), "-o", str(feats)]) == 0
+    assert run(["train", str(feats), "--target", "fps", "--trees", "3",
+                "-o", str(model)]) == 0
+    return feats, model
+
+
+def test_header_only_feature_csv(tmp_path, fps_model, capsys):
+    feats, model = fps_model
+    empty = tmp_path / "empty.csv"
+    empty.write_text(feats.read_text().splitlines()[0] + "\n")
+    out = tmp_path / "m.json"
+    assert run(["train", str(empty), "--target", "fps", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(empty) in err and "no rows" in err
+    assert not out.exists()
+    preds = tmp_path / "preds.csv"
+    assert run(["predict", str(model), str(empty), "-o", str(preds)]) == 0
+    assert preds.read_text().splitlines() == [
+        "session_id,window_start,prediction"]
+
+
+def test_ragged_feature_csv_is_an_input_error(tmp_path, fps_model, capsys):
+    feats, model = fps_model
+    lines = feats.read_text().splitlines()
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("\n".join(lines[:3] + [lines[3].rsplit(",", 1)[0]]
+                                + lines[4:]) + "\n")
+    for argv in (["train", str(ragged), "--target", "fps"],
+                 ["predict", str(model), str(ragged)]):
+        out = tmp_path / "out"
+        assert run([*argv, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(ragged) in err and "line 4" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["no_feature_names", "list", "ragged_tree",
+                                    "child_loop", "feature_out_of_range"])
+def test_malformed_model_is_an_input_error(tmp_path, fps_model, capsys,
+                                           damage):
+    feats, model = fps_model
+    doc = json.loads(model.read_text())
+    if damage == "no_feature_names":
+        del doc["feature_names"]
+    elif damage == "list":
+        doc = [doc]
+    elif damage == "ragged_tree":
+        doc["trees"][0]["threshold"].append(0.5)
+    elif damage == "child_loop":
+        doc["trees"][0]["left"][0] = 0
+    else:
+        doc["trees"][0]["feature"][0] = len(doc["feature_names"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    preds = tmp_path / "preds.csv"
+    assert run(["predict", str(bad), str(feats), "-o", str(preds)]) == 1
+    assert str(bad) in capsys.readouterr().err
+    assert not preds.exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vcaqoe import forest
 from vcaqoe.forest import (EmptyDataset, FeatureNameMismatch,
                            RandomForestClassifier, RandomForestRegressor,
                            TooFewGroups, kfold_by_session, load_forest,
@@ -178,3 +179,18 @@ def test_load_rejects_wrong_feature_names(tmp_path):
                                                        "x3", "x4"])
     with pytest.raises(FeatureNameMismatch):
         save_forest(m, str(path), ["only", "two"])
+
+
+@pytest.mark.parametrize("cls", [RandomForestRegressor,
+                                 RandomForestClassifier])
+def test_trees_do_not_depend_on_how_many_grow_together(monkeypatch, cls):
+    X, y = make_linear(n=300, noise=0.2, seed=23)
+    if cls is RandomForestClassifier:
+        y = np.digitize(y, [-1.0, 1.0])
+    together = cls(n_trees=6, seed=24).fit(X, y)
+    monkeypatch.setattr(forest, "_LEVEL_ENTRIES", 1)
+    alone = cls(n_trees=6, seed=24).fit(X, y)
+    assert [t.to_dict() for t in alone.trees_] == [
+        t.to_dict() for t in together.trees_]
+    assert np.allclose(alone.feature_importances_,
+                       together.feature_importances_, rtol=1e-9, atol=0)

@@ -18,7 +18,7 @@ from vcaqoe.classify import (SizeThreshold, classify_by_payload_type,
                              classify_by_size)
 from vcaqoe.features import SemanticParams, session_feature_rows
 from vcaqoe.forest import (RandomForestClassifier, RandomForestRegressor,
-                           _best_split)
+                           _best_splits, _column_ranks)
 from vcaqoe.heuristics import estimate_series
 from vcaqoe.ingest import (read_packet_csv, read_pcap, write_packet_csv,
                            write_pcap)
@@ -313,45 +313,45 @@ def test_read_pcap_rtp_rule_matches_parse_rtp_header(
     assert got == parsed_or_none(captured)
 
 
-def reference_cut_scores(xs, ys, task, n_classes):
-    """Weighted child impurity of every cut of one sorted column, with the
-    per-column arithmetic: running sums for variance, running one-hot
-    counts for Gini."""
-    n = len(ys)
+def reference_stats(y, task, n_classes):
+    """Split statistics of a node's rows: the target less the node's mean
+    rounded to an integer (variance), or one-hot labels (Gini)."""
+    if task == "regression":
+        return (y - np.round(np.mean(y)))[:, None]
+    return y[:, None] == np.arange(n_classes)
+
+
+def reference_cut_gains(stats):
+    """Impurity gain of every cut of one sorted column, from running sums
+    of each statistic: sum of L**2 / nl + R**2 / nr - T**2 / n, over n."""
+    n = len(stats)
     nl = np.arange(1, n)
     nr = n - nl
-    if task == "regression":
-        cs = np.cumsum(ys)
-        css = np.cumsum(ys * ys)
-        sl, ssl = cs[:-1], css[:-1]
-        var_l = np.maximum(ssl / nl - (sl / nl) ** 2, 0.0)
-        var_r = np.maximum((css[-1] - ssl) / nr - ((cs[-1] - sl) / nr) ** 2,
-                           0.0)
-        return (nl * var_l + nr * var_r) / n
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), ys] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    left, right = cum[:-1], cum[-1] - cum[:-1]
-    gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
-    gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
-    return (nl * gini_l + nr * gini_r) / n
+    gain = 0.0
+    for column in stats.T:
+        cs = np.cumsum(column)
+        left, total = cs[:-1], cs[-1]
+        gain = (gain + left ** 2 / nl + (total - left) ** 2 / nr
+                - total ** 2 / (nl + nr))
+    return gain / (nl + nr)
 
 
 def reference_best_split(X, y, min_leaf, task, n_classes):
-    """One column at a time, one cut at a time: the lowest score wins, and
-    a later column or a higher threshold must score strictly lower."""
+    """Every cut of every column, one at a time: the first cut in (column,
+    threshold) order whose gain is within 1e-9 of the highest wins."""
     n, m = X.shape
-    best = None
+    cuts = []
     for col in range(m):
         order = np.argsort(X[:, col], kind="mergesort")
         xs = X[order, col]
-        scores = reference_cut_scores(xs, y[order], task, n_classes)
-        for j in range(n - 1):
-            if xs[j + 1] == xs[j] or min(j + 1, n - j - 1) < min_leaf:
-                continue
-            if best is None or scores[j] < best[0]:
-                best = (float(scores[j]), col, (xs[j] + xs[j + 1]) / 2.0)
-    return best
+        gains = reference_cut_gains(reference_stats(y, task, n_classes)[order])
+        cuts += [(float(gains[j]), col, (xs[j] + xs[j + 1]) / 2.0)
+                 for j in range(n - 1)
+                 if xs[j + 1] > xs[j] and min(j + 1, n - j - 1) >= min_leaf]
+    if not cuts:
+        return None
+    high = max(gain for gain, _, _ in cuts)
+    return next(c for c in cuts if c[0] >= high - 1e-9 * abs(high))
 
 
 @st.composite
@@ -386,8 +386,19 @@ def test_best_split_matches_per_column_scan(problem, min_leaf, task):
         model = RandomForestClassifier()
     y = model._encode_targets(problem[1])
     n_classes = len(np.unique(problem[1]))
-    got = _best_split(X, y, min_leaf, model._child_impurity)
-    assert got == reference_best_split(X, y, min_leaf, task, n_classes)
+    n, m = X.shape
+    stats = model._node_stats(y, np.zeros(n, dtype=np.int64), 1)[2]
+    gain, feature, threshold, n_left, rows = _best_splits(
+        *_column_ranks(X), stats, np.arange(n), np.array([n]),
+        np.arange(m)[None, :], min_leaf)
+    want = reference_best_split(X, y, min_leaf, task, n_classes)
+    if want is None:
+        assert gain[0] == 0.0
+        return
+    assert (gain[0], feature[0], threshold[0]) == want
+    goes_left = X[:, feature[0]] <= threshold[0]
+    assert n_left[0] == goes_left.sum()
+    assert sorted(rows[:n_left[0]]) == list(np.flatnonzero(goes_left))
 
 
 @pytest.mark.parametrize("cls", [RandomForestRegressor,
@@ -402,3 +413,67 @@ def test_duplicated_feature_splits_on_the_lower_index(cls):
     used = np.concatenate([tree.feature for tree in model.trees_])
     assert 1 in used
     assert 3 not in used
+
+
+def reference_tree(X, y, depth, max_depth, min_leaf, task, n_classes):
+    """Depth-first growth with the per-column scan: a leaf value, or
+    (feature, threshold, left subtree, right subtree)."""
+    if task == "regression":
+        impurity, value = float(np.var(y)), float(np.mean(y))
+    else:
+        counts = np.bincount(y, minlength=n_classes)
+        p = counts / len(y)
+        impurity, value = 1.0 - float(np.dot(p, p)), float(np.argmax(counts))
+    if depth >= max_depth or impurity <= 0.0 or len(y) < 2 * min_leaf:
+        return value
+    best = reference_best_split(X, y, min_leaf, task, n_classes)
+    if best is None or best[0] <= 1e-12:
+        return value
+    _, f, thr = best
+    go = X[:, f] <= thr
+    return (f, thr,
+            reference_tree(X[go], y[go], depth + 1, max_depth, min_leaf,
+                           task, n_classes),
+            reference_tree(X[~go], y[~go], depth + 1, max_depth, min_leaf,
+                           task, n_classes))
+
+
+def reference_nodes(tree):
+    return 1 if not isinstance(tree, tuple) else (
+        1 + reference_nodes(tree[2]) + reference_nodes(tree[3]))
+
+
+def reference_predict(tree, x):
+    while isinstance(tree, tuple):
+        tree = tree[2] if x[tree[0]] <= tree[1] else tree[3]
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=split_problems(), min_leaf=st.integers(1, 3),
+       max_depth=st.integers(1, 6), bootstrap=st.booleans(),
+       seed=st.integers(0, 2**16),
+       task=st.sampled_from(["regression", "classification"]))
+def test_level_wise_growth_matches_depth_first(problem, min_leaf, max_depth,
+                                               bootstrap, seed, task):
+    """With every feature drawn, growing a level of several trees at once
+    gives each tree the nodes and predictions of depth-first growth."""
+    X = np.array(problem[0], dtype=float)
+    cls = (RandomForestRegressor if task == "regression"
+           else RandomForestClassifier)
+    model = cls(n_trees=3, max_depth=max_depth, min_samples_leaf=min_leaf,
+                max_features=X.shape[1], bootstrap=bootstrap, seed=seed)
+    model.fit(X, problem[1])
+    y = model._encode_targets(problem[1])
+    n_classes = len(np.unique(problem[1]))
+    grid = np.vstack([X, X + 0.5, X - 0.5])
+    for t, tree in enumerate(model.trees_):
+        rows = np.arange(len(y))
+        if bootstrap:
+            rows = np.random.default_rng([seed, t]).integers(0, len(y),
+                                                              len(y))
+        ref = reference_tree(X[rows], y[rows], 0, max_depth, min_leaf, task,
+                             n_classes)
+        assert len(tree.feature) == reference_nodes(ref)
+        assert list(tree.predict(grid)) == [reference_predict(ref, x)
+                                            for x in grid]
