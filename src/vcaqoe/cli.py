@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .assembly import IpUdpAssemblyParams, params_for_vca
+from .assembly import IpUdpAssemblyParams, MissingRtp, params_for_vca
 from .classify import (ClassifyError, PayloadTypeMap, SizeThreshold,
                        classification_report, classify_by_payload_type,
                        classify_by_size, fit_vmin, load_payload_type_map)
@@ -25,28 +25,34 @@ from .forest import (ForestError, RandomForestClassifier,
 from .heuristics import session_windows
 from .ingest import (IngestError, _atomic_write_bytes, _atomic_write_csv,
                      read_ground_truth_csv, read_packet_csv, read_pcap,
-                     write_ground_truth_csv, write_packet_csv)
+                     truth_cells, write_ground_truth_csv, write_packet_csv)
 from .pipeline import analyze_session
-from .session import RtpError
+from .session import NO_RTP, QoeWindow, RtpError
 from .synth import (ImpairmentProfile, InvalidProfile, SenderProfile,
                     generate, impair, write_frame_log_csv)
 from .validation import DimensionMismatch, NonFiniteInput
 from . import sweeps
 
 INPUT_ERRORS = (IngestError, ClassifyError, EvalError, ForestError,
-                InvalidProfile, RtpError, DimensionMismatch, NonFiniteInput,
-                FileNotFoundError, NotADirectoryError, ValueError,
-                argparse.ArgumentTypeError)
+                InvalidProfile, RtpError, MissingRtp, DimensionMismatch,
+                NonFiniteInput, FileNotFoundError, NotADirectoryError,
+                ValueError, argparse.ArgumentTypeError)
 
 TARGET_COLUMNS = {"fps": "fps", "bitrate": "bitrate_kbps",
                   "jitter": "frame_jitter_ms", "resolution": "frame_height"}
 PREDICTION_HEADER = ["session_id", "window_start", "prediction"]
 
 
-def _read_session(path, vca=""):
+def _read_session(path, vca="", rtp=False):
+    """The session of a pcap or packet CSV; with rtp, one in which some
+    packet carries an RTP header."""
     if path.endswith(".pcap"):
-        return read_pcap(path, vca_label=vca)
-    return read_packet_csv(path, vca_label=vca)
+        session = read_pcap(path, vca_label=vca)
+    else:
+        session = read_packet_csv(path, vca_label=vca)
+    if rtp and (session.columns.rtp_pt == NO_RTP).all():
+        raise MissingRtp(f"{path}: no packet carries an RTP header")
+    return session
 
 
 def _json_out(doc, path=None):
@@ -112,7 +118,7 @@ def cmd_classify(args):
 # --------------------------------------------------------------- analyze
 
 def cmd_analyze(args):
-    session = _read_session(args.input, args.vca)
+    session = _read_session(args.input, args.vca, args.method == "rtp")
     n_max = args.lookback
     if n_max is None:
         n_max = params_for_vca(args.vca).n_max
@@ -154,7 +160,7 @@ def cmd_features(args):
         "fps", "bitrate_kbps", "frame_jitter_ms", "frame_height"]
     rows = []
     for pk_path, truth_path in _session_truth_pairs(args.inputs, args.truth):
-        session = _read_session(pk_path, args.vca)
+        session = _read_session(pk_path, args.vca, args.set == "rtp")
         if args.set == "ipudp":
             tagged = classify_by_size(session, SizeThreshold(args.vmin))
         else:
@@ -168,31 +174,27 @@ def cmd_features(args):
         for k, vec in zip(keys, X):
             if k not in windows:
                 continue
-            t = truth_by_key.get(k)
-            extras = ["nan", "nan", "nan", -1]
-            if t is not None:
-                extras = [
-                    "nan" if t.fps is None else f"{t.fps:.6f}",
-                    "nan" if t.bitrate_kbps is None else f"{t.bitrate_kbps:.6f}",
-                    "nan" if t.frame_jitter_ms is None else f"{t.frame_jitter_ms:.6f}",
-                    -1 if t.frame_height is None else t.frame_height]
-            rows.append([session.session_id, k]
-                        + [f"{v:.9g}" for v in vec] + extras)
+            rows.append([session.session_id, k] + [f"{v:.9g}" for v in vec]
+                        + truth_cells(truth_by_key.get(k, QoeWindow(k))))
     _atomic_write_csv(args.output, header, rows)
     return 0
 
 
 def _read_feature_csv(path):
+    """Keys, feature names, feature matrix and truth columns of a feature
+    CSV. A feature cell must be a finite number; a truth cell may also be
+    nan, which marks missing truth."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        data = []
+        data, lines = [], []
         for row in filter(None, reader):
             if len(row) != len(header):
                 raise IngestError(f"{path}: line {reader.line_num} has "
                                   f"{len(row)} fields, header has "
                                   f"{len(header)}")
             data.append(row)
+            lines.append(reader.line_num)
     if header[:2] != ["session_id", "window_start"]:
         raise IngestError(f"{path}: not a feature CSV (missing key columns)")
     truth_cols = ["fps", "bitrate_kbps", "frame_jitter_ms", "frame_height"]
@@ -202,12 +204,20 @@ def _read_feature_csv(path):
         names = names[:-4]
     sessions = [r[0] for r in data]
     windows = [int(r[1]) for r in data]
-    X = np.array([[float(v) for v in r[2:2 + len(names)]] for r in data],
-                 dtype=np.float64).reshape(len(data), len(names))
-    truth = {}
-    if n_truth:
-        for col, j in zip(truth_cols, range(len(header) - 4, len(header))):
-            truth[col] = np.array([float(r[j]) for r in data])
+    try:
+        values = np.array([r[2:] for r in data], dtype=np.float64)
+    except ValueError:      # a cell that is not a number reads as inf
+        values = np.array([[float(v) if _is_number(v) else np.inf
+                            for v in r[2:]] for r in data])
+    values = values.reshape(len(data), len(header) - 2)
+    bad = ~np.isfinite(values)
+    bad[:, len(names):] &= ~np.isnan(values[:, len(names):])
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise IngestError(f"{path}: line {lines[i]}, column {header[2 + j]}: "
+                          f"{data[i][2 + j]!r} is not a finite number")
+    X = np.ascontiguousarray(values[:, :len(names)])
+    truth = dict(zip(truth_cols[:n_truth], values[:, len(names):].T))
     return sessions, windows, names, X, truth
 
 
@@ -374,7 +384,7 @@ def build_parser():
     p.add_argument("--fps", type=float, default=30.0)
     p.add_argument("--bitrate", type=float, default=800.0)
     p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--sessions", type=int, default=1)
+    p.add_argument("--sessions", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--keyframe-interval", type=int, default=0)
     p.add_argument("--size-jitter", type=float, default=0.05)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # assemble_rtp stays importable here: bench/tracing.py wraps it
-from .assembly import assemble_rtp, rtp_frame_table  # noqa: F401
+from .assembly import MissingRtp, assemble_rtp, rtp_frame_table  # noqa: F401
 from .heuristics import window_segments
 from .session import MEDIA_CODE, MICROS_PER_S, NO_RTP, MediaClass
 
@@ -33,14 +33,6 @@ IPUDP_FEATURE_NAMES = FLOW_FEATURES + SEMANTIC_FEATURES
 RTP_FEATURE_NAMES = FLOW_FEATURES + RTP_ONLY_FEATURES
 
 SEQ_HALF_RANGE = 32768
-
-
-class FeatureError(Exception):
-    pass
-
-
-class MissingRtp(FeatureError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import socket
 import struct
 import tempfile
 import warnings
@@ -18,7 +19,7 @@ import numpy as np
 
 from .session import (MICROS_PER_S, NO_CLASS, NO_RTP, RTP_FIXED_HEADER_LEN,
                       PacketColumns, QoeWindow, RecordFields, Session,
-                      serialize_rtp_header)
+                      _addresses, serialize_rtp_header)
 
 PACKET_CSV_HEADER = ["ts_us", "src_ip", "dst_ip", "src_port", "dst_port",
                      "udp_payload_len", "rtp_pt", "rtp_seq", "rtp_ts",
@@ -136,24 +137,21 @@ def read_pcap(path, session_id=None, vca_label=""):
     rtp = _rtp_columns(data, payload,
                        np.minimum(payload_len, rec + caplen - payload))
 
-    order = np.argsort(arrival_us, kind="stable")
-    rec, udp, payload, payload_len, arrival_us = (
-        a[order] for a in (rec, udp, payload, payload_len, arrival_us))
-    rtp = {name: col[order] for name, col in rtp.items()}
     cols = PacketColumns(arrival_us, payload_len, rtp["pt"], rtp["ts"],
                          rtp["marker"], rtp["seq"],
-                         np.full(len(order), NO_CLASS, dtype=np.int64))
-    csrc_rows = np.flatnonzero((rtp["pt"] != NO_RTP)
-                               & (rtp["b0"] & 0x0F > 0)).tolist()
+                         np.full(len(rec), NO_CLASS, dtype=np.int64))
+    csrcs = np.empty(len(rec), object)
+    for i in np.flatnonzero((rtp["pt"] != NO_RTP)
+                            & (rtp["b0"] & 0x0F > 0)).tolist():
+        csrcs[i] = struct.unpack_from(f">{rtp['b0'][i] & 0x0F}I", data,
+                                      payload[i] + RTP_FIXED_HEADER_LEN)
     fields = RecordFields(
         _gather(data, rec + 26, ">u4"), _gather(data, rec + 30, ">u4"),
         _gather(data, udp, ">u2"), _gather(data, udp + 2, ">u2"),
-        rtp["ssrc"], rtp["b0"], rtp["header_len"],
-        {i: struct.unpack_from(f">{rtp['b0'][i] & 0x0F}I", data,
-                               payload[i] + RTP_FIXED_HEADER_LEN)
-         for i in csrc_rows})
+        rtp["ssrc"], rtp["b0"], rtp["header_len"], csrcs)
+    order = np.argsort(arrival_us, kind="stable")
     sess = Session(session_id or os.path.basename(path), vca_label,
-                   columns=cols, records=fields.records)
+                   columns=cols.take(order), fields=fields.take(order))
     sess.skipped_count = len(starts) - len(order)
     return sess
 
@@ -206,21 +204,21 @@ def write_pcap(session, path):
     out = bytearray()
     out += struct.pack("<IHHiIII", PCAP_MAGIC_US, 2, 4, 0, 0, 65535,
                        LINKTYPE_ETHERNET)
-    for p in session.packets:
-        payload = bytearray(p.payload_len)
-        if p.rtp is not None:
-            hdr = serialize_rtp_header(p.rtp)
-            payload[:len(hdr)] = hdr
-        udp = struct.pack(">HHHH", p.src_port, p.dst_port,
-                          8 + p.payload_len, 0) + bytes(payload)
+    cols, f = session.columns, session.fields
+    eth = b"\x02" * 6 + b"\x04" * 6 + struct.pack(">H", 0x0800)
+    for arrival, src_ip, dst_ip, src_port, dst_port, plen, hdr in zip(
+            cols.arrival_us.tolist(), _addresses(f.src_ip),
+            _addresses(f.dst_ip), f.src_port.tolist(), f.dst_port.tolist(),
+            cols.payload_len.tolist(), f.headers(cols)):
+        payload = b"" if hdr is None else serialize_rtp_header(hdr)
+        udp = (struct.pack(">HHHH", src_port, dst_port, 8 + plen, 0)
+               + payload.ljust(plen, b"\x00"))
         total_len = 20 + len(udp)
-        sip = bytes(int(x) for x in p.src_ip.split("."))
-        dip = bytes(int(x) for x in p.dst_ip.split("."))
-        ip = struct.pack(">BBHHHBBH", 0x45, 0, total_len, 0, 0, 64, 17, 0) + sip + dip
-        eth = b"\x02" * 6 + b"\x04" * 6 + struct.pack(">H", 0x0800)
+        ip = (struct.pack(">BBHHHBBH", 0x45, 0, total_len, 0, 0, 64, 17, 0)
+              + socket.inet_aton(src_ip) + socket.inet_aton(dst_ip))
         rec = eth + ip + udp
-        out += struct.pack("<IIII", p.arrival_us // MICROS_PER_S,
-                           p.arrival_us % MICROS_PER_S, len(rec), len(rec))
+        out += struct.pack("<IIII", arrival // MICROS_PER_S,
+                           arrival % MICROS_PER_S, len(rec), len(rec))
         out += rec
     _atomic_write_bytes(path, bytes(out))
 
@@ -258,13 +256,12 @@ def read_packet_csv(path, session_id=None, vca_label=""):
         column("rtp_seq"), np.full(n, NO_CLASS, dtype=np.int64))
     fields = RecordFields(
         rows["src_ip"], rows["dst_ip"], rows["src_port"], rows["dst_port"],
-        rows["rtp_ssrc"], np.full(n, 0x80, dtype=np.int64),
-        np.full(n, RTP_FIXED_HEADER_LEN, dtype=np.int64), {})
+        column("rtp_ssrc"), np.full(n, 0x80, dtype=np.int64),
+        np.full(n, RTP_FIXED_HEADER_LEN, dtype=np.int64), np.empty(n, object))
     if session_id is None:
         session_id = os.path.splitext(os.path.basename(path))[0]
         session_id = session_id.removesuffix(".packets")
-    return Session(session_id, vca_label, columns=cols,
-                   records=fields.records)
+    return Session(session_id, vca_label, columns=cols, fields=fields)
 
 
 PACKET_ROW_DTYPE = np.dtype([(name, object if name.endswith("_ip")
@@ -297,17 +294,12 @@ def _first_bad_row(path):
 
 
 def write_packet_csv(session, path):
-    rows = []
-    for p in session.packets:
-        if p.rtp is not None:
-            r = p.rtp
-            rtp_cols = [r.payload_type, r.sequence, r.timestamp,
-                        int(r.marker), r.ssrc]
-        else:
-            rtp_cols = [-1, -1, -1, -1, -1]
-        rows.append([p.arrival_us, p.src_ip, p.dst_ip, p.src_port,
-                     p.dst_port, p.payload_len] + rtp_cols)
-    _atomic_write_csv(path, PACKET_CSV_HEADER, rows)
+    cols, f = session.columns, session.fields
+    _atomic_write_csv(path, PACKET_CSV_HEADER, zip(
+        cols.arrival_us.tolist(), _addresses(f.src_ip), _addresses(f.dst_ip),
+        f.src_port.tolist(), f.dst_port.tolist(), cols.payload_len.tolist(),
+        cols.rtp_pt.tolist(), cols.rtp_seq.tolist(), cols.rtp_ts.tolist(),
+        cols.rtp_marker.tolist(), f.rtp_ssrc.tolist()))
 
 
 def read_ground_truth_csv(path, session_id=None):
@@ -343,16 +335,19 @@ def read_ground_truth_csv(path, session_id=None):
     return GroundTruthSeries(sid, rows)
 
 
-def write_ground_truth_csv(rows, path):
-    """Write QoeWindow rows in the ground-truth CSV schema."""
+def truth_cells(row):
+    """A QoeWindow's metric cells in the ground-truth CSV schema."""
     def fmt(v):
         return "nan" if v is None else f"{v:.6f}"
-    out = []
-    for r in sorted(rows, key=lambda r: r.window_start):
-        out.append([r.window_start, fmt(r.fps), fmt(r.bitrate_kbps),
-                    fmt(r.frame_jitter_ms),
-                    -1 if r.frame_height is None else r.frame_height])
-    _atomic_write_csv(path, TRUTH_CSV_HEADER, out)
+    return [fmt(row.fps), fmt(row.bitrate_kbps), fmt(row.frame_jitter_ms),
+            -1 if row.frame_height is None else row.frame_height]
+
+
+def write_ground_truth_csv(rows, path):
+    """Write QoeWindow rows in the ground-truth CSV schema."""
+    _atomic_write_csv(path, TRUTH_CSV_HEADER, [
+        [r.window_start] + truth_cells(r)
+        for r in sorted(rows, key=lambda r: r.window_start)])
 
 
 def _atomic_write_bytes(path, blob):
@@ -370,5 +365,5 @@ def _atomic_write_bytes(path, blob):
 
 def _atomic_write_csv(path, header, rows):
     lines = [",".join(header)]
-    lines += [",".join(str(c) for c in row) for row in rows]
+    lines += [",".join(map(str, row)) for row in rows]
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())

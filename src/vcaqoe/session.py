@@ -11,7 +11,6 @@ import enum
 import socket
 import struct
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from operator import attrgetter
 from typing import Optional
 
@@ -130,10 +129,30 @@ class Frame:
 MEDIA_CLASSES = tuple(MediaClass)   # media_class column value i is MEDIA_CLASSES[i]
 MEDIA_CODE = {cls: i for i, cls in enumerate(MEDIA_CLASSES)}
 NO_CLASS = -1   # media_class column value of a packet not yet classified
+# The header read in place of a missing one when packets become columns:
+# NO_RTP in every column, no CSRC list.
+_NO_HEADER = RtpHeader(0, False, False, NO_RTP, 0, NO_RTP, NO_RTP, NO_RTP,
+                       NO_RTP, None, NO_RTP)
+
+
+def _column(items, name, dtype=np.int64):
+    return np.fromiter(map(attrgetter(name), items), dtype, len(items))
+
+
+class _Rows:
+    """Equal-length columns of a dataclass, one row per packet."""
+
+    def __len__(self):
+        return len(getattr(self, fields(self)[0].name))
+
+    def take(self, rows):
+        """The rows selected by a boolean mask, an index array or a slice."""
+        return type(self)(*(getattr(self, f.name)[rows]
+                            for f in fields(self)))
 
 
 @dataclass(frozen=True)
-class PacketColumns:
+class PacketColumns(_Rows):
     """int64 columns of a packet list, in list order.
 
     RTP fields hold NO_RTP for packets without an RTP header; rtp_marker
@@ -150,41 +169,26 @@ class PacketColumns:
 
     @classmethod
     def of(cls, packets) -> "PacketColumns":
-        n = len(packets)
-        headers = list(map(attrgetter("rtp"), packets))
-
-        def rtp_column(name):
-            get = attrgetter(name)
-            return np.fromiter((NO_RTP if h is None else get(h)
-                                for h in headers), np.int64, n)
-
-        return cls(np.fromiter(map(attrgetter("arrival_us"), packets),
-                               np.int64, n),
-                   np.fromiter(map(attrgetter("payload_len"), packets),
-                               np.int64, n),
-                   rtp_column("payload_type"), rtp_column("timestamp"),
-                   rtp_column("marker"), rtp_column("sequence"),
+        headers = [p.rtp or _NO_HEADER for p in packets]
+        return cls(_column(packets, "arrival_us"),
+                   _column(packets, "payload_len"),
+                   _column(headers, "payload_type"),
+                   _column(headers, "timestamp"), _column(headers, "marker"),
+                   _column(headers, "sequence"),
                    np.fromiter((MEDIA_CODE.get(p.media_class, NO_CLASS)
-                                for p in packets), np.int64, n))
-
-    def __len__(self):
-        return len(self.arrival_us)
-
-    def take(self, rows) -> "PacketColumns":
-        """The rows selected by a boolean mask or a slice, order kept."""
-        return PacketColumns(*(getattr(self, f.name)[rows]
-                               for f in fields(self)))
+                                for p in packets), np.int64, len(packets)))
 
 
 @dataclass(frozen=True)
-class RecordFields:
-    """The per-packet values that only the PacketRecord view reads, row
-    for row with a reader's columns.
+class RecordFields(_Rows):
+    """The per-packet values that only the PacketRecord view and the
+    writers read, row for row with a session's columns.
 
     Addresses are dotted-quad strings, or IPv4 addresses as integers.
-    The RTP values are read on RTP rows only: rtp_b0 is the header's
-    first byte (padding, extension and CSRC count bits), rtp_csrcs maps
-    the rows that carry a CSRC list to it.
+    rtp_ssrc is NO_RTP on rows without RTP, like the RTP columns. The
+    other RTP values are read on RTP rows only: rtp_b0 is the header's
+    first byte (version, padding, extension and CSRC count bits), and
+    rtp_csrcs holds a row's CSRC list, or None for none.
     """
     src_ip: np.ndarray
     dst_ip: np.ndarray
@@ -193,33 +197,43 @@ class RecordFields:
     rtp_ssrc: np.ndarray
     rtp_b0: np.ndarray
     rtp_header_len: np.ndarray
-    rtp_csrcs: dict
+    rtp_csrcs: np.ndarray
 
-    def records(self, cols) -> list:
-        """One PacketRecord per row of cols."""
-        csrcs = self.rtp_csrcs
-        out = []
-        for i, (arrival, src_ip, dst_ip, src_port, dst_port, plen, pt, seq,
-                ts, marker, ssrc, b0, header_len, code) in enumerate(zip(
-                    cols.arrival_us.tolist(), _addresses(self.src_ip),
-                    _addresses(self.dst_ip), self.src_port.tolist(),
-                    self.dst_port.tolist(), cols.payload_len.tolist(),
+    @classmethod
+    def of(cls, packets) -> "RecordFields":
+        headers = [p.rtp or _NO_HEADER for p in packets]
+        return cls(_column(packets, "src_ip", object),
+                   _column(packets, "dst_ip", object),
+                   _column(packets, "src_port"), _column(packets, "dst_port"),
+                   _column(headers, "ssrc"),
+                   np.fromiter(((h.version << 6) | (h.padding << 5)
+                                | (h.extension << 4) | h.csrc_count
+                                for h in headers), np.int64, len(headers)),
+                   _column(headers, "header_len"),
+                   _column(headers, "csrcs", object))
+
+    def headers(self, cols) -> list:
+        """The RtpHeader of each row of cols, None for a row without RTP."""
+        return [None if pt == NO_RTP else RtpHeader(
+                    b0 >> 6, bool(b0 & 0x20), bool(b0 & 0x10), bool(marker),
+                    b0 & 0x0F, pt, seq, ts, ssrc, csrcs or (), header_len)
+                for pt, seq, ts, marker, ssrc, b0, header_len, csrcs in zip(
                     cols.rtp_pt.tolist(), cols.rtp_seq.tolist(),
                     cols.rtp_ts.tolist(), cols.rtp_marker.tolist(),
                     self.rtp_ssrc.tolist(), self.rtp_b0.tolist(),
-                    self.rtp_header_len.tolist(),
-                    cols.media_class.tolist())):
-            rtp = None
-            if pt != NO_RTP:
-                rtp = RtpHeader(2, bool(b0 & 0x20), bool(b0 & 0x10),
-                                bool(marker), b0 & 0x0F, pt, seq, ts, ssrc,
-                                csrcs.get(i, ()), header_len)
-            out.append(PacketRecord(arrival, src_ip, dst_ip, src_port,
-                                    dst_port, plen, rtp, _media_class(code)))
-        return out
+                    self.rtp_header_len.tolist(), self.rtp_csrcs.tolist())]
+
+    def records(self, cols) -> list:
+        """One PacketRecord per row of cols."""
+        return list(map(PacketRecord, cols.arrival_us.tolist(),
+                        _addresses(self.src_ip), _addresses(self.dst_ip),
+                        self.src_port.tolist(), self.dst_port.tolist(),
+                        cols.payload_len.tolist(), self.headers(cols),
+                        map(_media_class, cols.media_class.tolist())))
 
 
 def _addresses(column):
+    """Dotted-quad strings of an address column."""
     if column.dtype.kind not in "iu":
         return column.tolist()
     values, inverse = np.unique(column, return_inverse=True)
@@ -231,63 +245,44 @@ def _media_class(code):
     return None if code == NO_CLASS else MEDIA_CLASSES[code]
 
 
-def _retagged(packets, cols):
-    """packets with the media classes of cols."""
-    return [PacketRecord(p.arrival_us, p.src_ip, p.dst_ip, p.src_port,
-                         p.dst_port, p.payload_len, p.rtp, _media_class(code))
-            for p, code in zip(packets, cols.media_class.tolist())]
-
-
 class Session:
-    """One call's packets, sorted by arrival.
+    """One call's packets, sorted by arrival, as columns.
 
-    The analysis path reads ``columns``. ``packets``, one PacketRecord per
-    packet, is a view for callers at the API edge. Session(id, label,
-    packets) derives the columns on first use; a reader passes columns and
-    ``records``, a function of the columns that builds the view, which
-    runs on first use of ``packets``.
+    The analysis path reads ``columns``; ``fields`` holds the values that
+    only the PacketRecord view and the writers read. ``packets``, one
+    PacketRecord per packet, is the view for callers at the API edge: the
+    list Session(id, label, packets) was given, or else built from the
+    columns on first use.
     """
 
     def __init__(self, session_id, vca_label, packets=None, columns=None,
-                 records=None):
+                 fields=None):
         self.session_id = session_id
         self.vca_label = vca_label
         self.skipped_count = 0
         if packets is not None:
-            prev = -1
-            for p in packets:
-                if p.arrival_us < prev:
-                    raise ValueError("packets must be sorted by arrival time")
-                prev = p.arrival_us
-        elif (np.diff(columns.arrival_us) < 0).any():
+            columns, fields = (PacketColumns.of(packets),
+                               RecordFields.of(packets))
+        if (np.diff(columns.arrival_us) < 0).any():
             raise ValueError("packets must be sorted by arrival time")
+        self.columns = columns
+        self.fields = fields
         self._packets = packets
-        self._columns = columns
-        self._records = records
 
     @property
     def packets(self) -> list:
         if self._packets is None:
-            self._packets = self._records(self._columns)
+            self._packets = self.fields.records(self.columns)
         return self._packets
 
-    @property
-    def columns(self) -> PacketColumns:
-        if self._columns is None:
-            self._columns = PacketColumns.of(self._packets)
-        return self._columns
-
     def __len__(self):
-        if self._packets is not None:
-            return len(self._packets)
-        return len(self._columns)
+        return len(self.columns)
 
     def classified(self, media_class) -> "Session":
         """This session with a media_class column (MEDIA_CODE values)."""
-        cols = replace(self.columns, media_class=media_class)
-        records = self._records or partial(_retagged, self._packets)
-        return Session(self.session_id, self.vca_label, columns=cols,
-                       records=records)
+        return Session(self.session_id, self.vca_label,
+                       columns=replace(self.columns, media_class=media_class),
+                       fields=self.fields)
 
     def video_packets(self) -> list:
         return [p for p in self.packets if p.media_class is MediaClass.VIDEO]

@@ -19,8 +19,8 @@ import numpy as np
 from .classify import PayloadTypeMap
 from .heuristics import window_series
 from .ingest import GroundTruthSeries, _atomic_write_csv
-from .session import (MICROS_PER_S, RTP_FIXED_HEADER_LEN, MediaClass,
-                      PacketRecord, RtpHeader, Session)
+from .session import (MEDIA_CODE, MICROS_PER_S, NO_CLASS, RTP_FIXED_HEADER_LEN,
+                      MediaClass, PacketColumns, RecordFields, Session)
 
 FRAME_LOG_HEADER = ["frame_id", "emit_us", "complete_us", "media_bytes",
                     "rtp_ts"]
@@ -34,8 +34,8 @@ HEIGHT_TIERS = ((400.0, 180), (1000.0, 360), (float("inf"), 720))
 # cross-frame packet-size difference > 2 even with the +1 remainder byte.
 SEPARATION_MARGIN = 4
 
-SRC = ("10.0.0.2", 50000)
-DST = ("192.0.2.10", 3478)
+SRC = (0x0A000002, 50000)      # 10.0.0.2, as an integer
+DST = (0xC000020A, 3478)        # 192.0.2.10
 
 
 class InvalidProfile(ValueError):
@@ -72,6 +72,8 @@ class SenderProfile:
     def validate(self):
         if self.fps <= 0 or self.bitrate_kbps <= 0:
             raise InvalidProfile("fps and bitrate must be positive")
+        if self.keyframe_interval < 0:
+            raise InvalidProfile("keyframe_interval must not be negative")
         if self.max_payload <= RTP_FIXED_HEADER_LEN:
             raise InvalidProfile("max_payload must exceed the RTP header")
         lo, hi = self.audio_size_range
@@ -130,6 +132,8 @@ def generate(profile: SenderProfile, duration_s: float, seed: int,
     n_frames = int(math.floor(duration_s * profile.fps))
     mean_media = profile.bitrate_kbps * 1000.0 / 8.0 / profile.fps
 
+    # per packet: arrival_us, payload_len, rtp_pt, rtp_ts, rtp_marker,
+    # rtp_seq, src_port and rtp_ssrc
     packets = []
     frame_log = []
     seq = 0
@@ -162,12 +166,10 @@ def generate(profile: SenderProfile, duration_s: float, seed: int,
 
         rtp_ts = int(round(i * profile.rtp_ts_increment)) & 0xFFFFFFFF
         for j, media in enumerate(chunks):
-            pkt_us = emit_us + j * INTRA_FRAME_GAP_US
-            hdr = RtpHeader(2, False, False, j == n_pkts - 1, 0, pt_video,
-                            seq & 0xFFFF, rtp_ts, profile.video_ssrc)
-            packets.append(PacketRecord(
-                pkt_us, SRC[0], DST[0], SRC[1], DST[1],
-                media + RTP_FIXED_HEADER_LEN, hdr))
+            packets.append((emit_us + j * INTRA_FRAME_GAP_US,
+                            media + RTP_FIXED_HEADER_LEN, pt_video, rtp_ts,
+                            j == n_pkts - 1, seq & 0xFFFF, SRC[1],
+                            profile.video_ssrc))
             seq += 1
         complete_us = emit_us + (n_pkts - 1) * INTRA_FRAME_GAP_US
         frame_log.append(FrameLogEntry(i, emit_us, complete_us, size, rtp_ts))
@@ -176,24 +178,24 @@ def generate(profile: SenderProfile, duration_s: float, seed: int,
     if profile.audio_pps > 0 and pt_audio is not None:
         lo, hi = profile.audio_size_range
         n_audio = int(math.floor(duration_s * profile.audio_pps))
-        aud_seq = 0
         for k in range(n_audio):
             t_us = start_us + int(round(k * MICROS_PER_S / profile.audio_pps)) + 37
             size = int(rng.integers(lo, hi + 1))
-            hdr = RtpHeader(2, False, False, True, 0, pt_audio,
-                            aud_seq & 0xFFFF,
+            packets.append((t_us, size, pt_audio,
                             int(k * 48000 / profile.audio_pps) & 0xFFFFFFFF,
-                            profile.audio_ssrc)
-            packets.append(PacketRecord(t_us, SRC[0], DST[0], SRC[1] + 2,
-                                        DST[1], size, hdr))
-            aud_seq += 1
+                            True, k & 0xFFFF, SRC[1] + 2, profile.audio_ssrc))
 
-    packets.sort(key=lambda p: p.arrival_us)
+    rows = np.array(packets, dtype=np.int64).reshape(-1, 8).T
+    rows = rows[:, np.argsort(rows[0], kind="stable")]
+    n = rows.shape[1]
     sid = session_id or f"synth-{seed}"
-    session = Session(sid, vca_label, packets)
-    truth = truth_from_frame_log(frame_log, sid,
-                                 first_us=packets[0].arrival_us,
-                                 last_us=packets[-1].arrival_us)
+    session = Session(sid, vca_label, columns=PacketColumns(
+        *rows[:6], np.full(n, NO_CLASS)), fields=RecordFields(
+        np.full(n, SRC[0]), np.full(n, DST[0]), rows[6], np.full(n, DST[1]),
+        rows[7], np.full(n, 0x80), np.full(n, RTP_FIXED_HEADER_LEN),
+        np.empty(n, object)))
+    truth = truth_from_frame_log(frame_log, sid, first_us=int(rows[0, 0]),
+                                 last_us=int(rows[0, -1]))
     return session, truth, frame_log
 
 
@@ -238,27 +240,27 @@ def impair(session, profile: ImpairmentProfile, seed, ptmap=None):
     jitter_us = profile.delay_jitter_ms * 1000.0
     rtt_us = profile.rtt_ms * 1000.0
 
-    n = len(session.packets)
+    cols = session.columns
+    n = len(cols)
     delays = np.full(n, base_us)
     if jitter_us > 0:
         delays = base_us + np.maximum(0.0, rng.normal(0.0, jitter_us, n))
     lost = (rng.random(n) < profile.loss_prob if profile.loss_prob > 0
             else np.zeros(n, dtype=bool))
 
-    out = []
-    for i, p in enumerate(session.packets):
-        if lost[i]:
-            is_video = (p.rtp is not None
-                        and ptmap.lookup(p.rtp.payload_type) is MediaClass.VIDEO)
-            if profile.retransmit and is_video and pt_retx is not None:
-                hdr = replace(p.rtp, payload_type=pt_retx)
-                out.append(replace(p, rtp=hdr,
-                                   arrival_us=p.arrival_us
-                                   + int(round(rtt_us + delays[i]))))
-            continue
-        out.append(replace(p, arrival_us=p.arrival_us + int(round(delays[i]))))
-    out.sort(key=lambda p: p.arrival_us)
-    return Session(session.session_id, session.vca_label, out)
+    resent = np.zeros(n, dtype=bool)
+    rtp_pt = cols.rtp_pt
+    if profile.retransmit and pt_retx is not None:
+        resent = lost & (ptmap.classify(rtp_pt, cols.payload_len)
+                         == MEDIA_CODE[MediaClass.VIDEO])
+        rtp_pt = np.where(resent, pt_retx, rtp_pt)
+    arrival_us = cols.arrival_us + np.rint(
+        np.where(resent, rtt_us + delays, delays)).astype(np.int64)
+    kept = np.flatnonzero(~lost | resent)
+    order = kept[np.argsort(arrival_us[kept], kind="stable")]
+    moved = replace(cols, arrival_us=arrival_us, rtp_pt=rtp_pt)
+    return Session(session.session_id, session.vca_label,
+                   columns=moved.take(order), fields=session.fields.take(order))
 
 
 def write_frame_log_csv(frame_log, path):

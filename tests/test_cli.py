@@ -429,6 +429,36 @@ def test_ragged_feature_csv_is_an_input_error(tmp_path, fps_model, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", ["abc", "inf", "nan"])
+def test_bad_feature_cell_is_named(tmp_path, fps_model, capsys, cell):
+    feats, model = fps_model
+    lines = feats.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[3].split(",")
+    row[header.index("size_mean")] = cell
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
+    for argv in (["train", str(bad), "--target", "fps"],
+                 ["predict", str(model), str(bad)]):
+        out = tmp_path / "out"
+        assert run([*argv, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "line 4" in err and "size_mean" in err
+        assert repr(cell) in err
+        assert not out.exists()
+
+
+def test_missing_truth_cell_is_accepted(tmp_path, fps_model):
+    feats, _model = fps_model
+    lines = feats.read_text().splitlines()
+    row = lines[3].split(",")
+    row[-2] = "nan"     # frame_jitter_ms
+    some = tmp_path / "some.csv"
+    some.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
+    assert run(["train", str(some), "--target", "jitter", "--trees", "2",
+                "-o", str(tmp_path / "m.json")]) == 0
+
+
 @pytest.mark.parametrize("damage", ["no_feature_names", "list", "ragged_tree",
                                     "child_loop", "feature_out_of_range"])
 def test_malformed_model_is_an_input_error(tmp_path, fps_model, capsys,
@@ -451,3 +481,33 @@ def test_malformed_model_is_an_input_error(tmp_path, fps_model, capsys,
     assert run(["predict", str(bad), str(feats), "-o", str(preds)]) == 1
     assert str(bad) in capsys.readouterr().err
     assert not preds.exists()
+
+
+def _without_rtp_csv(corpus, path):
+    """A packet CSV of the corpus's first call with every RTP cell -1."""
+    lines = (corpus / "synth-100.packets.csv").read_text().splitlines()
+    path.write_text("\n".join(
+        [lines[0]] + [",".join(line.split(",")[:6] + ["-1"] * 5)
+                      for line in lines[1:]]) + "\n")
+    return path
+
+
+def test_rtp_commands_on_input_without_rtp_are_input_errors(tmp_path, corpus,
+                                                            capsys):
+    bare = _without_rtp_csv(corpus, tmp_path / "bare.packets.csv")
+    out = tmp_path / "out.csv"
+    for argv in (["analyze", str(bare), "--method", "rtp"],
+                 ["features", str(bare), "--set", "rtp"]):
+        assert run([*argv, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(bare) in err and "RTP" in err
+        assert not out.exists()
+    assert run(["analyze", str(bare), "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("flags", [["--sessions", "0"], ["--sessions", "-1"],
+                                   ["--keyframe-interval", "-3"]])
+def test_synth_bad_counts_are_input_errors(tmp_path, flags):
+    out = tmp_path / "corpus"
+    assert run(["synth", *flags, "--duration", "3", "-o", str(out)]) == 1
+    assert not out.exists() or not os.listdir(out)

@@ -6,7 +6,7 @@ from vcaqoe.ingest import (BadHeader, BadMagic, BadRow, DuplicateSecond,
                            Truncated, read_ground_truth_csv, read_packet_csv,
                            read_pcap, write_ground_truth_csv, write_packet_csv,
                            write_pcap)
-from vcaqoe.session import QoeWindow
+from vcaqoe.session import PacketRecord, QoeWindow, RtpHeader, Session
 from vcaqoe.synth import SenderProfile, generate
 
 
@@ -121,6 +121,33 @@ def test_read_pcap_attaches_rtp(tmp_path):
     s = read_pcap(str(p))
     assert s.packets[0].rtp is not None
     assert s.packets[0].rtp.payload_type == 102
+
+
+def test_write_pcap_keeps_csrcs_and_padding(tmp_path):
+    p = tmp_path / "t.pcap"
+    # version 2, padding bit, 2 CSRCs; then marker, payload type 102
+    with_csrcs = (bytes.fromhex("a2e6000700000bb800001111")
+                  + struct.pack(">II", 0xAAAA0001, 0xBBBB0002) + b"\x00" * 600)
+    plain = bytes.fromhex("80660008000000c800001111") + b"\x00" * 40
+    write_ref_pcap(p, [
+        (1, 0, ref_udp_frame("10.0.0.1", "10.0.0.2", 1, 2, with_csrcs)),
+        (1, 5, ref_udp_frame("10.0.0.1", "10.0.0.2", 1, 2, plain)),
+        (1, 9, ref_udp_frame("10.0.0.1", "10.0.0.2", 3, 4, b"\x00" * 30))])
+    first = read_pcap(str(p))
+    rtp = first.packets[0].rtp
+    assert rtp.padding and rtp.csrcs == (0xAAAA0001, 0xBBBB0002)
+    assert rtp.header_len == 20 and first.packets[2].rtp is None
+    again = tmp_path / "again.pcap"
+    write_pcap(first, str(again))
+    assert read_pcap(str(again)).packets == first.packets
+
+
+def test_write_pcap_rejects_rtp_extension(tmp_path):
+    rtp = RtpHeader(2, False, True, False, 0, 102, 1, 1, 1, header_len=16)
+    session = Session("s", "", [PacketRecord(1, "1.1.1.1", "2.2.2.2", 1, 2,
+                                             100, rtp)])
+    with pytest.raises(ValueError):
+        write_pcap(session, str(tmp_path / "t.pcap"))
 
 
 def test_packet_csv_roundtrip(tmp_path):

@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from vcaqoe.session import RTP_FIXED_HEADER_LEN, MediaClass
+from vcaqoe.ingest import write_ground_truth_csv, write_packet_csv, write_pcap
+from vcaqoe.session import RTP_FIXED_HEADER_LEN, MediaClass, PacketRecord, \
+    Session
 from vcaqoe.synth import (HEIGHT_TIERS, MIN_PACKET_MEDIA, SEPARATION_MARGIN,
                           FrameLogEntry, ImpairmentProfile, InvalidProfile,
                           SenderProfile, fragment_sizes, generate, impair,
@@ -200,3 +204,45 @@ def test_keyframes_inflate_periodic_frames():
     key = [f.media_bytes for f in log if f.frame_id % 30 == 0]
     rest = [f.media_bytes for f in log if f.frame_id % 30 != 0]
     assert min(key) > 2.0 * max(rest) / 1.01
+
+
+# sha256 of the files written for generate(SenderProfile(keyframe_interval=30),
+# 6.0, seed=3): clean, impaired, and impaired with the RTP headers removed
+WRITTEN_DIGESTS = {
+    "bare.packets.csv":
+        "3ff79df0f315e89156b68cdefbcaaac68eb7b506ffbf258baf07569bf796f6e8",
+    "bare.pcap":
+        "49d7bccc739277cc8723964b6ea86eb17841f3079777cfb74abe36c1d3dcd63c",
+    "clean.packets.csv":
+        "996865efb0fa9c54f9f44de519845ca565a09e841edab2cf6708ac30b27a23f5",
+    "clean.pcap":
+        "b21c3de36eea6e75e6027b3193073ad8db37d6fdd4a3c5bd1988b154436f7ac5",
+    "frames.csv":
+        "48c626408c70ff713ba5308f13985caa473bdb2ff6f03b14c41f1ffb26fbeada",
+    "impaired.packets.csv":
+        "a7759173224e401e14aa01eb43fe57603465e2fa9a8e81c24ad9c96d4d834d4d",
+    "impaired.pcap":
+        "08290e8d74a12fb72d5d4b239017bd65ba16e6c0cc10b5bc252f6a01f559ca3c",
+    "truth.csv":
+        "613277eaa93a634ae42603c28fd759c43b984ca326c544b06b99d7a3e83d613d",
+}
+
+
+def test_written_bytes_are_pinned(tmp_path):
+    profile = SenderProfile(keyframe_interval=30)
+    clean, truth, log = generate(profile, 6.0, seed=3)
+    impaired = impair(clean, ImpairmentProfile(
+        delay_jitter_ms=40, loss_prob=0.05, retransmit=True), seed=3,
+        ptmap=profile.ptmap())
+    assert any(p.rtp.payload_type == 103 for p in impaired.packets)
+    bare = Session(impaired.session_id, impaired.vca_label, [
+        PacketRecord(p.arrival_us, p.src_ip, p.dst_ip, p.src_port,
+                     p.dst_port, p.payload_len) for p in impaired.packets])
+    for name, session in (("clean", clean), ("impaired", impaired),
+                          ("bare", bare)):
+        write_packet_csv(session, str(tmp_path / f"{name}.packets.csv"))
+        write_pcap(session, str(tmp_path / f"{name}.pcap"))
+    write_ground_truth_csv(truth.rows, str(tmp_path / "truth.csv"))
+    write_frame_log_csv(log, str(tmp_path / "frames.csv"))
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == WRITTEN_DIGESTS
