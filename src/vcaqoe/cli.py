@@ -171,7 +171,7 @@ def cmd_features(args):
             truth = read_ground_truth_csv(truth_path)
             truth_by_key = {r.window_start: r for r in truth.rows}
         windows = session_windows(session, args.window)
-        for k, vec in zip(keys, X):
+        for k, vec in zip(keys, X.tolist()):
             if k not in windows:
                 continue
             rows.append([session.session_id, k] + [f"{v:.9g}" for v in vec]
@@ -203,7 +203,13 @@ def _read_feature_csv(path):
     if n_truth:
         names = names[:-4]
     sessions = [r[0] for r in data]
-    windows = [int(r[1]) for r in data]
+    windows = []
+    for r, line in zip(data, lines):
+        try:
+            windows.append(int(r[1]))
+        except ValueError:
+            raise IngestError(f"{path}: line {line}, column window_start: "
+                              f"{r[1]!r} is not an integer") from None
     try:
         values = np.array([r[2:] for r in data], dtype=np.float64)
     except ValueError:      # a cell that is not a number reads as inf

@@ -13,7 +13,7 @@ import numpy as np
 
 # assemble_rtp stays importable here: bench/tracing.py wraps it
 from .assembly import MissingRtp, assemble_rtp, rtp_frame_table  # noqa: F401
-from .heuristics import window_segments
+from .heuristics import segment_stats, segment_sums, window_segments
 from .session import MEDIA_CODE, MICROS_PER_S, NO_RTP, MediaClass
 
 FLOW_FEATURES = [
@@ -45,45 +45,98 @@ class SemanticParams:
             raise ValueError("theta_iat_ms and sampling_freq must be positive")
 
 
-def _five_stats(values):
-    if len(values) == 0:
-        return [0.0] * 5
-    a = np.asarray(values, dtype=np.float64)
-    return [float(a.mean()), float(a.std()), float(np.median(a)),
-            float(a.min()), float(a.max())]
+FIVE_STATS = (np.mean, np.std, np.median, np.min, np.max)
+
+
+def _whole(n):
+    """Segment bounds of one segment holding all n rows."""
+    return np.array([0]), np.array([n])
+
+
+def _inner_gaps(lo, hi):
+    """Bounds, in the diff of a column, of the gaps between rows inside each
+    segment [lo[i], hi[i]) of the column."""
+    return lo, np.maximum(hi - 1, lo)
+
+
+def _distinct(values, lo, hi):
+    """The distinct values of each segment values[lo[i]:hi[i]].
+
+    Returns the segment of each distinct (segment, value) pair, the row of
+    values each segment element sits in, and the index of each element's
+    pair.
+    """
+    counts = hi - lo
+    seg = np.repeat(np.arange(len(lo)), counts)
+    rows = np.arange(len(seg)) + np.repeat(lo - np.cumsum(counts) + counts,
+                                           counts)
+    order = np.lexsort((values[rows], seg))
+    seg_sorted, v = seg[order], values[rows[order]]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (seg_sorted[1:] != seg_sorted[:-1]) | (v[1:] != v[:-1])
+    pair = np.empty(len(order), dtype=np.int64)
+    pair[order] = np.cumsum(new) - 1
+    return seg_sorted[new], rows, pair
+
+
+def _flow_rows(video, lo, hi, w):
+    """The 12 flow-level statistics of each segment video[lo[i]:hi[i]]."""
+    return np.column_stack((
+        segment_sums(video.payload_len, lo, hi) / w, (hi - lo) / w,
+        segment_stats(video.payload_len.astype(np.float64), lo, hi,
+                      FIVE_STATS),
+        segment_stats(np.diff(video.arrival_us) / MICROS_PER_S,
+                      *_inner_gaps(lo, hi), FIVE_STATS)))
+
+
+def _semantic_rows(video, lo, hi, params):
+    """Unique-size and microburst counts of each segment video[lo[i]:hi[i]]."""
+    seg, _rows, _pair = _distinct(video.payload_len, lo, hi)
+    bursts = segment_sums(
+        np.diff(video.arrival_us) >= params.theta_iat_ms * 1000.0,
+        *_inner_gaps(lo, hi))
+    return np.column_stack((np.bincount(seg, minlength=len(lo)),
+                            np.where(hi > lo, 1 + bursts, 0))).astype(float)
+
+
+def _rtp_rows(media, lo, hi, lags, lag_lo, lag_hi):
+    """The RTP feature block of each segment media[lo[i]:hi[i]], with the
+    frame lags lags[lag_lo[i]:lag_hi[i]] of the same window."""
+    video = media.media_class == MEDIA_CODE[MediaClass.VIDEO]
+    retx = media.media_class == MEDIA_CODE[MediaClass.VIDEO_RETX]
+    if segment_sums((video | retx) & (media.rtp_ts == NO_RTP), lo, hi).any():
+        raise MissingRtp("RTP features need RTP headers")
+    seg, rows, pair = _distinct(media.rtp_ts, lo, hi)
+    in_video = np.bincount(pair[video[rows]], minlength=len(seg)) > 0
+    in_retx = np.bincount(pair[retx[rows]], minlength=len(seg)) > 0
+
+    def per_segment(pairs):
+        return np.bincount(seg[pairs], minlength=len(lo))
+
+    # backward steps between consecutive video rows of one segment, modulo
+    # 2^16: a step back by at most half the sequence space
+    before = np.concatenate(([0], np.cumsum(video)))
+    backward = (np.diff(media.rtp_seq[video]) & 0xFFFF) >= SEQ_HALF_RANGE
+    return np.column_stack((
+        per_segment(in_video), per_segment(in_retx),
+        per_segment(in_video & in_retx), per_segment(in_video | in_retx),
+        segment_sums(media.rtp_marker * video, lo, hi),
+        segment_sums(media.rtp_marker * retx, lo, hi),
+        segment_sums(backward, *_inner_gaps(before[lo], before[hi])),
+        segment_stats(lags, lag_lo, lag_hi, FIVE_STATS))).astype(float)
 
 
 def flow_stats(window, w=1.0):
     """12 flow-level statistics over one window of video packets
     (PacketColumns, in arrival order)."""
-    n = len(window)
-    if n == 0:
-        return [0.0] * 12
-    sizes = window.payload_len
-    out = [int(sizes.sum()) / w, n / w]
-    out += _five_stats(sizes)
-    if n < 2:
-        out += [0.0] * 5
-    else:
-        out += _five_stats(np.diff(window.arrival_us) / MICROS_PER_S)
-    return out
+    return _flow_rows(window, *_whole(len(window)), w)[0].tolist()
 
 
 def semantic_features(window, params=SemanticParams()):
     """Unique packet-size count and microburst count for one window of
     video packets (PacketColumns, in arrival order)."""
-    if len(window) == 0:
-        return (0.0, 0.0)
-    bursts = 1 + int(np.count_nonzero(
-        np.diff(window.arrival_us) >= params.theta_iat_ms * 1000.0))
-    return (float(len(np.unique(window.payload_len))), float(bursts))
-
-
-def _ooo_count(seq):
-    """Backward steps of an RTP sequence-number column, modulo 2^16: a step
-    back by at most half the sequence space."""
-    step = (np.diff(seq) & 0xFFFF) >= SEQ_HALF_RANGE
-    return int(np.count_nonzero(step))
+    return tuple(_semantic_rows(window, *_whole(len(window)),
+                                params)[0].tolist())
 
 
 def frame_lags(end_us, rtp_ts, origin, sampling_freq):
@@ -108,19 +161,9 @@ def rtp_features(window, lags=()):
     media_class. lags are the frame lags of the RTP frames ending in the
     window.
     """
-    video = window.take(window.media_class == MEDIA_CODE[MediaClass.VIDEO])
-    retx = window.take(window.media_class
-                       == MEDIA_CODE[MediaClass.VIDEO_RETX])
-    if (video.rtp_ts == NO_RTP).any() or (retx.rtp_ts == NO_RTP).any():
-        raise MissingRtp("RTP features need RTP headers")
-    ts_v = np.unique(video.rtp_ts)
-    ts_r = np.unique(retx.rtp_ts)
-    out = [float(len(ts_v)), float(len(ts_r)),
-           float(len(np.intersect1d(ts_v, ts_r, assume_unique=True))),
-           float(len(np.union1d(ts_v, ts_r))),
-           float(video.rtp_marker.sum()), float(retx.rtp_marker.sum()),
-           float(_ooo_count(video.rtp_seq))]
-    return out + _five_stats(lags)
+    lags = np.asarray(lags, dtype=np.float64)
+    return _rtp_rows(window, *_whole(len(window)), lags,
+                     *_whole(len(lags)))[0].tolist()
 
 
 def session_feature_rows(session, feature_set="ipudp", w=1,
@@ -129,10 +172,14 @@ def session_feature_rows(session, feature_set="ipudp", w=1,
 
     Returns (window_starts, matrix) covering every w-second window between
     the first and last video packet, inclusive; callers keep the windows
-    of session_windows. feature_set is "ipudp" or "rtp".
+    of session_windows. feature_set is "ipudp" or "rtp"; w is a positive
+    whole number of seconds.
     """
     if feature_set not in ("ipudp", "rtp"):
         raise ValueError(f"unknown feature set {feature_set!r}")
+    if w != int(w) or w < 1:
+        raise ValueError(f"window must be a positive whole number of "
+                         f"seconds, got {w!r}")
     w = int(w)
     cols = session.columns
     is_video = cols.media_class == MEDIA_CODE[MediaClass.VIDEO]
@@ -142,31 +189,18 @@ def session_feature_rows(session, feature_set="ipudp", w=1,
                                     else RTP_FEATURE_NAMES)))
     video = cols.take(is_video)
     span = (int(video.arrival_us[0]), int(video.arrival_us[-1]))
-
-    def segments(times_us):
-        keys, lo, hi = window_segments(times_us, w, span)
-        return keys, list(map(slice, lo.tolist(), hi.tolist()))
-
-    keys, video_cuts = segments(video.arrival_us)
-
-    if feature_set == "rtp":
+    keys, lo, hi = window_segments(video.arrival_us, w, span)
+    if feature_set == "ipudp":
+        extra = _semantic_rows(video, lo, hi, params)
+    else:
         frames = rtp_frame_table(video)
         frame_ts = video.rtp_ts[frames.members[frames.lo]]
         lags = frame_lags(frames.end_us, frame_ts,
                           (int(frames.end_us[0]), int(frame_ts[0])),
                           params.sampling_freq)
-        _, lag_cuts = segments(frames.end_us)
         media = cols.take(is_video | (
             cols.media_class == MEDIA_CODE[MediaClass.VIDEO_RETX]))
-        _, media_cuts = segments(media.arrival_us)
-
-    rows = []
-    for i, cut in enumerate(video_cuts):
-        vid = video.take(cut)
-        row = flow_stats(vid, float(w))
-        if feature_set == "ipudp":
-            row += semantic_features(vid, params)
-        else:
-            row += rtp_features(media.take(media_cuts[i]), lags[lag_cuts[i]])
-        rows.append(row)
-    return keys, np.asarray(rows, dtype=np.float64)
+        extra = _rtp_rows(media, *window_segments(media.arrival_us, w,
+                                                  span)[1:],
+                          lags, *window_segments(frames.end_us, w, span)[1:])
+    return keys, np.hstack((_flow_rows(video, lo, hi, w), extra))

@@ -40,6 +40,34 @@ def window_segments(times_us, w=1.0, span_us=None):
             np.searchsorted(window, windows, side="right"))
 
 
+def segment_sums(values, lo, hi):
+    """Exact sum of each segment values[lo[i]:hi[i]] of an integer or
+    boolean array."""
+    total = np.concatenate(([0], np.cumsum(values)))
+    return total[hi] - total[lo]
+
+
+def segment_stats(values, lo, hi, stats):
+    """Each of stats, numpy reductions taking axis=, over each segment
+    values[lo[i]:hi[i]]: a (len(lo), len(stats)) float64 array, zeros for
+    an empty segment.
+
+    Segments of one length are gathered into the rows of a 2-D array and
+    reduced along its rows, which gives the bits of a call on each segment
+    alone.
+    """
+    lengths = hi - lo
+    out = np.zeros((len(lengths), len(stats)))
+    order = np.argsort(lengths, kind="stable")
+    groups, first = np.unique(lengths[order], return_index=True)
+    for length, rows in zip(groups.tolist(), np.split(order, first[1:])):
+        if length:
+            block = values[lo[rows, None] + np.arange(length)]
+            for j, stat in enumerate(stats):
+                out[rows, j] = stat(block, axis=1)
+    return out
+
+
 def session_windows(session, w=1):
     """Starts of the w-second windows reported for a session: multiples of
     w from the second after the first arrival's on, each window ending by
@@ -80,20 +108,16 @@ def window_series(end_us, size_bytes, w=1.0, span_us=None):
         return {}
     order = np.argsort(end_us, kind="stable")
     end_us = end_us[order]
-    size_bytes = size_bytes[order]
     keys, first, stop = window_segments(end_us, w, span_us)
     counts = stop - first
-    bytes_in = np.concatenate(([0], np.cumsum(size_bytes)))
-    bytes_in = bytes_in[stop] - bytes_in[first]
+    bytes_in = segment_sums(size_bytes[order], first, stop)
     # gaps[i - 1] is the gap ending at frame i, counted in frame i's window
-    gaps = np.diff(end_us)
-    out = {}
-    for k, a, b, n, fps, kbps in zip(
-            keys, first.tolist(), stop.tolist(), counts.tolist(),
-            (counts / w).tolist(), (bytes_in * 8.0 / w / 1000.0).tolist()):
-        jit = None
-        if n >= MIN_FRAMES_FOR_JITTER:
-            jit = float(np.std(gaps[max(a, 1) - 1:b - 1])) / 1000.0
-        out[k] = QoeWindow(window_start=k, duration_s=w, fps=fps,
-                           bitrate_kbps=kbps, frame_jitter_ms=jit)
-    return out
+    timed = np.flatnonzero(counts >= MIN_FRAMES_FOR_JITTER)
+    jitter = segment_stats(np.diff(end_us), np.maximum(first[timed], 1) - 1,
+                           stop[timed] - 1, (np.std,))[:, 0] / 1000.0
+    jitter = dict(zip(timed.tolist(), jitter.tolist()))
+    return {k: QoeWindow(window_start=k, duration_s=w, fps=fps,
+                         bitrate_kbps=kbps, frame_jitter_ms=jitter.get(i))
+            for i, (k, fps, kbps) in enumerate(zip(
+                keys, (counts / w).tolist(),
+                (bytes_in * 8.0 / w / 1000.0).tolist()))}

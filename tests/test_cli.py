@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -80,6 +81,42 @@ def test_features_train_predict_cycle(tmp_path, corpus):
                 "--metric", "fps", "-o", str(report)]) == 0
     doc = json.loads(report.read_text())
     assert doc["mae"] < 3.0
+
+
+FEATURE_DIGESTS = {
+    ("clean", "ipudp", "1"):
+        "d0950c74e97c601f90803587ea9d48c6c2063ce26c1992b188d4452b397cdb08",
+    ("clean", "ipudp", "2"):
+        "aff2e01ab23ef415e94b94b3044a067448a500b4986d9576330b7fa508bbd7d7",
+    ("clean", "rtp", "1"):
+        "ee3886c5da3bbc99633511afbccb6cf1d533b2c540bd7f749310c83d4540335e",
+    ("clean", "rtp", "2"):
+        "da59446acf6a885d731819c288678e5b5b7078e2c47562f688d87c66e1f3cfbf",
+    ("impaired", "ipudp", "1"):
+        "83268d6013f6da37bea458a17252fc7e47ae84204d24789efe955abb29f22971",
+    ("impaired", "ipudp", "2"):
+        "23ab052038071309fa585d945aefccee32279d7550a767bb5dc5e947b756cddb",
+    ("impaired", "rtp", "1"):
+        "cbb48eae35b1012847b3b9273a993ebc7266507e64e752c20c6471cc0781d965",
+    ("impaired", "rtp", "2"):
+        "5075724bb6cf500bb835cbca6954916f48662473b2b4c3ba2e8d20e898311054",
+}
+
+
+def test_feature_bytes_are_pinned(tmp_path, corpus):
+    impaired = tmp_path / "impaired"
+    assert run(["synth", "--sessions", "2", "--duration", "8", "--jitter",
+                "20", "--loss", "2", "--retransmit", "--seed", "7",
+                "-o", str(impaired)]) == 0
+    got = {}
+    for name, feature_set, window in FEATURE_DIGESTS:
+        root = corpus if name == "clean" else impaired
+        out = tmp_path / f"{name}-{feature_set}-{window}.csv"
+        assert run(["features", str(root), "--set", feature_set,
+                    "--window", window, "-o", str(out)]) == 0
+        got[name, feature_set, window] = hashlib.sha256(
+            out.read_bytes()).hexdigest()
+    assert got == FEATURE_DIGESTS
 
 
 def test_resolution_training(tmp_path, corpus):
@@ -429,13 +466,16 @@ def test_ragged_feature_csv_is_an_input_error(tmp_path, fps_model, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("cell", ["abc", "inf", "nan"])
-def test_bad_feature_cell_is_named(tmp_path, fps_model, capsys, cell):
+@pytest.mark.parametrize("column,cell", [
+    ("size_mean", "abc"), ("size_mean", "inf"), ("size_mean", "nan"),
+    ("window_start", "abc")], ids=["abc", "inf", "nan", "window_start"])
+def test_bad_feature_cell_is_named(tmp_path, fps_model, capsys, column,
+                                   cell):
     feats, model = fps_model
     lines = feats.read_text().splitlines()
     header = lines[0].split(",")
     row = lines[3].split(",")
-    row[header.index("size_mean")] = cell
+    row[header.index(column)] = cell
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
     for argv in (["train", str(bad), "--target", "fps"],
@@ -443,7 +483,7 @@ def test_bad_feature_cell_is_named(tmp_path, fps_model, capsys, cell):
         out = tmp_path / "out"
         assert run([*argv, "-o", str(out)]) == 1
         err = capsys.readouterr().err
-        assert str(bad) in err and "line 4" in err and "size_mean" in err
+        assert str(bad) in err and "line 4" in err and column in err
         assert repr(cell) in err
         assert not out.exists()
 

@@ -195,3 +195,12 @@ def test_session_feature_rows_empty_video():
     # without classification no packet is video
     keys, m = session_feature_rows(session, "ipudp")
     assert keys == [] and m.shape[0] == 0
+
+
+@pytest.mark.parametrize("w", [1.5, 0.5, 0, -1])
+def test_session_feature_rows_window_must_be_a_positive_integer(w):
+    session, _truth, _log = generate(SenderProfile(), 3.0, seed=1)
+    session = classify_by_payload_type(session)
+    for feature_set in ("ipudp", "rtp"):
+        with pytest.raises(ValueError, match="window"):
+            session_feature_rows(session, feature_set, w)

@@ -16,7 +16,8 @@ from vcaqoe.assembly import (IpUdpAssemblyParams, assemble_ipudp,
                              assemble_rtp, lookback_labels)
 from vcaqoe.classify import (SizeThreshold, classify_by_payload_type,
                              classify_by_size)
-from vcaqoe.features import SemanticParams, session_feature_rows
+from vcaqoe.features import (RTP_FEATURE_NAMES, SemanticParams,
+                             session_feature_rows)
 from vcaqoe.forest import (RandomForestClassifier, RandomForestRegressor,
                            _best_splits, _column_ranks)
 from vcaqoe.heuristics import estimate_series
@@ -24,7 +25,7 @@ from vcaqoe.ingest import (read_packet_csv, read_pcap, write_packet_csv,
                            write_pcap)
 from vcaqoe.pipeline import analyze_session
 from vcaqoe.session import (MediaClass, PacketColumns, PacketRecord,
-                            RtpError, Session, parse_rtp_header)
+                            RtpError, RtpHeader, Session, parse_rtp_header)
 from vcaqoe.synth import ImpairmentProfile, SenderProfile, generate, impair
 
 
@@ -241,6 +242,54 @@ def test_feature_rows_equal_per_packet_reference(profile, impairment, seed,
                                                  params)
         assert keys == ref_keys
         assert np.array_equal(X, ref_X)
+
+
+def edge_case_session():
+    """Seconds 10-15 of a hand-built call, with the window shapes the
+    segment kernel must get right."""
+    def rtp(us, size, pt, seq, ts, marker=False):
+        return PacketRecord(us, "10.0.0.1", "10.0.0.2", 5000, 6000, size,
+                            RtpHeader(2, False, False, marker, 0, pt, seq,
+                                      ts, 7))
+    return Session("edges", "", [
+        rtp(10_000_000, 1000, 102, 100, 0),
+        rtp(10_001_000, 1000, 102, 102, 0),
+        rtp(10_010_000, 1200, 102, 101, 0, True),    # back by one in second 10
+        rtp(11_500_000, 900, 102, 103, 3000, True),  # one video packet
+        rtp(12_400_000, 120, 111, 7, 0),             # audio only: a zero row
+        rtp(13_200_000, 1000, 103, 1, 0),            # retransmissions only
+        rtp(13_300_000, 900, 103, 2, 3000),
+        rtp(14_100_000, 1000, 102, 101, 6000),       # back from 103 across
+        rtp(14_600_000, 1000, 102, 104, 9000, True),  # windows; two packets
+        rtp(15_000_000, 1100, 102, 105, 12000),
+        rtp(15_020_000, 1100, 103, 3, 12000),
+        rtp(15_040_000, 1100, 102, 106, 12000, True),
+    ])
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_feature_rows_edge_cases_equal_reference(w):
+    session = edge_case_session()
+    params = SemanticParams()
+    for feature_set, tagged in (
+            ("ipudp", classify_by_size(session, SizeThreshold(500))),
+            ("rtp", classify_by_payload_type(session))):
+        keys, X = session_feature_rows(tagged, feature_set, w, params)
+        ref_keys, ref_X = reference_feature_rows(tagged, feature_set, w,
+                                                 params)
+        assert keys == ref_keys
+        assert np.array_equal(X, ref_X)
+    if w == 1:
+        rows = dict(zip(keys, X))
+        column = {name: i for i, name in enumerate(RTP_FEATURE_NAMES)}
+        assert not rows[12].any()
+        assert rows[11][column["pkts_per_s"]] == 1.0
+        assert rows[14][column["pkts_per_s"]] == 2.0
+        assert not rows[13][:column["unique_rtp_ts_video"]].any()
+        assert rows[13][column["unique_rtp_ts_retx"]] == 2.0
+        assert rows[15][column["unique_rtp_ts_intersection"]] == 1.0
+    # only the step back inside second 10 counts
+    assert X[:, RTP_FEATURE_NAMES.index("ooo_count")].sum() == 1.0
 
 
 # --- the columnar RTP rule of read_pcap against parse_rtp_header -----------
