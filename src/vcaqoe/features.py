@@ -13,7 +13,8 @@ import numpy as np
 
 # assemble_rtp stays importable here: bench/tracing.py wraps it
 from .assembly import MissingRtp, assemble_rtp, rtp_frame_table  # noqa: F401
-from .heuristics import segment_stats, segment_sums, window_segments
+from .heuristics import (segment_stats, segment_sums, whole_seconds,
+                         window_segments)
 from .session import MEDIA_CODE, MICROS_PER_S, NO_RTP, MediaClass
 
 FLOW_FEATURES = [
@@ -177,10 +178,7 @@ def session_feature_rows(session, feature_set="ipudp", w=1,
     """
     if feature_set not in ("ipudp", "rtp"):
         raise ValueError(f"unknown feature set {feature_set!r}")
-    if w != int(w) or w < 1:
-        raise ValueError(f"window must be a positive whole number of "
-                         f"seconds, got {w!r}")
-    w = int(w)
+    w = whole_seconds(w)
     cols = session.columns
     is_video = cols.media_class == MEDIA_CODE[MediaClass.VIDEO]
     if not is_video.any():

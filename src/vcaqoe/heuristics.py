@@ -68,6 +68,15 @@ def segment_stats(values, lo, hi, stats):
     return out
 
 
+def whole_seconds(w):
+    """A window width w as an int; ValueError unless w is a positive whole
+    number of seconds."""
+    if not (w >= 1 and float(w).is_integer()):
+        raise ValueError(f"window must be a positive whole number of "
+                         f"seconds, got {w!r}")
+    return int(w)
+
+
 def session_windows(session, w=1):
     """Starts of the w-second windows reported for a session: multiples of
     w from the second after the first arrival's on, each window ending by
@@ -75,8 +84,9 @@ def session_windows(session, w=1):
 
     The partial first second is dropped, the last second is kept: a
     window k counts when first_sec + 1 <= k and k + w <= last_sec + 1.
+    w must be a positive whole number of seconds (whole_seconds).
     """
-    w = int(w)
+    w = whole_seconds(w)
     arrival_us = session.columns.arrival_us
     first = int(arrival_us[0]) // MICROS_PER_S
     last = int(arrival_us[-1]) // MICROS_PER_S

@@ -19,7 +19,7 @@ import numpy as np
 
 from .session import (MICROS_PER_S, NO_CLASS, NO_RTP, RTP_FIXED_HEADER_LEN,
                       PacketColumns, QoeWindow, RecordFields, Session,
-                      _addresses, serialize_rtp_header)
+                      _addresses)
 
 PACKET_CSV_HEADER = ["ts_us", "src_ip", "dst_ip", "src_port", "dst_port",
                      "udp_payload_len", "rtp_pt", "rtp_seq", "rtp_ts",
@@ -195,32 +195,110 @@ def _rtp_columns(data, start, length):
     return cols
 
 
+# The bytes before a record's UDP payload: the pcap record header
+# (little-endian), then Ethernet, IPv4 and UDP (network order).
+PCAP_RECORD_DTYPE = np.dtype([
+    ("ts_sec", "<u4"), ("ts_usec", "<u4"), ("incl_len", "<u4"),
+    ("orig_len", "<u4"), ("ethernet", "u1", 14), ("ip_vihl", "u1"),
+    ("ip_tos", "u1"), ("ip_len", ">u2"), ("ip_id", ">u2"),
+    ("ip_frag", ">u2"), ("ip_ttl", "u1"), ("ip_proto", "u1"),
+    ("ip_sum", ">u2"), ("ip_src", ">u4"), ("ip_dst", ">u4"),
+    ("src_port", ">u2"), ("dst_port", ">u2"), ("udp_len", ">u2"),
+    ("udp_sum", ">u2")])
+RTP_HEADER_DTYPE = np.dtype([("b0", "u1"), ("b1", "u1"), ("seq", ">u2"),
+                             ("ts", ">u4"), ("ssrc", ">u4")])
+ETHERNET_HEADER = b"\x02" * 6 + b"\x04" * 6 + struct.pack(">H", 0x0800)
+
+
 def write_pcap(session, path):
     """Write a Session back out as a classic pcap (µs) Ethernet capture.
 
     Payload bytes are the serialized RTP header (when present) padded with
-    zeros, so read_pcap round-trips the session.
+    zeros to the payload length, so read_pcap round-trips the session. A
+    header longer than the payload length is written whole, past the end
+    the UDP length gives, where read_pcap does not look for it.
+
+    The session is encoded in whole-array steps: the record, Ethernet,
+    IPv4, UDP and fixed RTP headers are filled column by column and stored
+    into one zeroed buffer; only rows that carry a CSRC list are packed
+    one by one. A row with the RTP extension bit, or a value that does not
+    fit its header field, raises ValueError before the file is created.
     """
-    out = bytearray()
-    out += struct.pack("<IHHiIII", PCAP_MAGIC_US, 2, 4, 0, 0, 65535,
-                       LINKTYPE_ETHERNET)
     cols, f = session.columns, session.fields
-    eth = b"\x02" * 6 + b"\x04" * 6 + struct.pack(">H", 0x0800)
-    for arrival, src_ip, dst_ip, src_port, dst_port, plen, hdr in zip(
-            cols.arrival_us.tolist(), _addresses(f.src_ip),
-            _addresses(f.dst_ip), f.src_port.tolist(), f.dst_port.tolist(),
-            cols.payload_len.tolist(), f.headers(cols)):
-        payload = b"" if hdr is None else serialize_rtp_header(hdr)
-        udp = (struct.pack(">HHHH", src_port, dst_port, 8 + plen, 0)
-               + payload.ljust(plen, b"\x00"))
-        total_len = 20 + len(udp)
-        ip = (struct.pack(">BBHHHBBH", 0x45, 0, total_len, 0, 0, 64, 17, 0)
-              + socket.inet_aton(src_ip) + socket.inet_aton(dst_ip))
-        rec = eth + ip + udp
-        out += struct.pack("<IIII", arrival // MICROS_PER_S,
-                           arrival % MICROS_PER_S, len(rec), len(rec))
-        out += rec
-    _atomic_write_bytes(path, bytes(out))
+    rtp = np.flatnonzero(cols.rtp_pt != NO_RTP)
+    b0 = f.rtp_b0[rtp]
+    if (b0 & 0x10).any():
+        raise ValueError("extension block serialization is unsupported")
+    header_len = np.zeros(len(cols), dtype=np.int64)
+    header_len[rtp] = RTP_FIXED_HEADER_LEN + 4 * (b0 & 0x0F)
+    plen = cols.payload_len
+    body = np.maximum(plen, header_len)
+    src_ip, dst_ip = _ipv4(f.src_ip), _ipv4(f.dst_ip)
+    for name, values, top in (
+            ("arrival second", cols.arrival_us // MICROS_PER_S, 0xFFFFFFFF),
+            ("source address", src_ip, 0xFFFFFFFF),
+            ("destination address", dst_ip, 0xFFFFFFFF),
+            ("source port", f.src_port, 0xFFFF),
+            ("destination port", f.dst_port, 0xFFFF),
+            ("payload length", plen, 0xFFFF - 28)):
+        if len(values) and not 0 <= values.min() <= values.max() <= top:
+            raise ValueError(f"{name} does not fit its header field")
+
+    rec = np.zeros(len(cols), PCAP_RECORD_DTYPE)
+    rec["ts_sec"] = cols.arrival_us // MICROS_PER_S
+    rec["ts_usec"] = cols.arrival_us % MICROS_PER_S
+    rec["incl_len"] = rec["orig_len"] = 14 + 28 + body
+    rec["ethernet"] = np.frombuffer(ETHERNET_HEADER, np.uint8)
+    rec["ip_vihl"], rec["ip_ttl"], rec["ip_proto"] = 0x45, 64, 17
+    rec["ip_len"] = 28 + body
+    rec["ip_src"], rec["ip_dst"] = src_ip, dst_ip
+    rec["src_port"], rec["dst_port"] = f.src_port, f.dst_port
+    rec["udp_len"] = 8 + plen
+    hdr = np.zeros(len(rtp), RTP_HEADER_DTYPE)
+    hdr["b0"] = b0      # version, padding and CSRC count bits
+    hdr["b1"] = (np.where(cols.rtp_marker[rtp] != 0, 0x80, 0)
+                 | cols.rtp_pt[rtp] & 0x7F)
+    hdr["seq"] = cols.rtp_seq[rtp] & 0xFFFF
+    hdr["ts"] = cols.rtp_ts[rtp] & 0xFFFFFFFF
+    hdr["ssrc"] = f.rtp_ssrc[rtp] & 0xFFFFFFFF
+
+    size = PCAP_RECORD_DTYPE.itemsize + body
+    start = np.cumsum(size) - size + 24
+    out = np.zeros(24 + int(size.sum()), np.uint8)
+    out[:24] = np.frombuffer(struct.pack(
+        "<IHHiIII", PCAP_MAGIC_US, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET),
+        np.uint8)
+    _scatter(out, start, rec)
+    payload = start + PCAP_RECORD_DTYPE.itemsize
+    _scatter(out, payload[rtp], hdr)
+    for i in rtp[b0 & 0x0F > 0].tolist():
+        csrcs = struct.pack(f">{f.rtp_b0[i] & 0x0F}I",
+                            *(f.rtp_csrcs[i] or ()))
+        at = payload[i] + RTP_FIXED_HEADER_LEN
+        out[at:at + len(csrcs)] = np.frombuffer(csrcs, np.uint8)
+    _atomic_write_bytes(path, out)
+
+
+def _ipv4(column):
+    """An address column as int64 IPv4 addresses; dotted-quad strings are
+    converted once per distinct value."""
+    if column.dtype.kind in "iu":
+        return column
+    values, inverse = np.unique(column, return_inverse=True)
+    return np.array([int.from_bytes(socket.inet_aton(v), "big")
+                     for v in values.tolist()],
+                    dtype=np.int64)[inverse.reshape(-1)]
+
+
+def _scatter(out, offsets, values):
+    """Store the rows of a fixed-size dtype array at byte offsets of out,
+    a uint8 array; the inverse of _gather."""
+    if not len(values):
+        return
+    raw = np.dtype(f"V{values.itemsize}")   # copied as bytes, field-blind
+    at_every_byte = np.ndarray((len(out) - raw.itemsize + 1,), raw,
+                               buffer=out, strides=(1,))
+    at_every_byte[offsets] = values.view(raw)
 
 
 def read_packet_csv(path, session_id=None, vca_label=""):
@@ -294,11 +372,19 @@ def _first_bad_row(path):
 
 
 def write_packet_csv(session, path):
+    """Write a Session in the packet CSV schema, RTP columns -1 where a
+    packet has no RTP header.
+
+    Each line is formatted from the session's column lists by one format
+    call, with no per-row tuple or join.
+    """
     cols, f = session.columns, session.fields
-    _atomic_write_csv(path, PACKET_CSV_HEADER, zip(
-        cols.arrival_us.tolist(), _addresses(f.src_ip), _addresses(f.dst_ip),
-        f.src_port.tolist(), f.dst_port.tolist(), cols.payload_len.tolist(),
-        cols.rtp_pt.tolist(), cols.rtp_seq.tolist(), cols.rtp_ts.tolist(),
+    line = ",".join(["{}"] * len(PACKET_CSV_HEADER)).format
+    _atomic_write_lines(path, PACKET_CSV_HEADER, map(
+        line, cols.arrival_us.tolist(), _addresses(f.src_ip),
+        _addresses(f.dst_ip), f.src_port.tolist(), f.dst_port.tolist(),
+        cols.payload_len.tolist(), cols.rtp_pt.tolist(),
+        cols.rtp_seq.tolist(), cols.rtp_ts.tolist(),
         cols.rtp_marker.tolist(), f.rtp_ssrc.tolist()))
 
 
@@ -364,6 +450,11 @@ def _atomic_write_bytes(path, blob):
 
 
 def _atomic_write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(map(str, row)) for row in rows]
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    _atomic_write_lines(path, header, (",".join(map(str, row))
+                                       for row in rows))
+
+
+def _atomic_write_lines(path, header, lines):
+    """Write a CSV header and the already formatted lines below it."""
+    _atomic_write_bytes(path, ("\n".join([",".join(header), *lines])
+                               + "\n").encode())

@@ -212,23 +212,21 @@ class RecordFields(_Rows):
                    _column(headers, "header_len"),
                    _column(headers, "csrcs", object))
 
-    def headers(self, cols) -> list:
-        """The RtpHeader of each row of cols, None for a row without RTP."""
-        return [None if pt == NO_RTP else RtpHeader(
-                    b0 >> 6, bool(b0 & 0x20), bool(b0 & 0x10), bool(marker),
-                    b0 & 0x0F, pt, seq, ts, ssrc, csrcs or (), header_len)
-                for pt, seq, ts, marker, ssrc, b0, header_len, csrcs in zip(
-                    cols.rtp_pt.tolist(), cols.rtp_seq.tolist(),
-                    cols.rtp_ts.tolist(), cols.rtp_marker.tolist(),
-                    self.rtp_ssrc.tolist(), self.rtp_b0.tolist(),
-                    self.rtp_header_len.tolist(), self.rtp_csrcs.tolist())]
-
     def records(self, cols) -> list:
-        """One PacketRecord per row of cols."""
+        """One PacketRecord per row of cols, with no RtpHeader on a row
+        without RTP."""
+        headers = [None if pt == NO_RTP else RtpHeader(
+                       b0 >> 6, bool(b0 & 0x20), bool(b0 & 0x10), bool(marker),
+                       b0 & 0x0F, pt, seq, ts, ssrc, csrcs or (), header_len)
+                   for pt, seq, ts, marker, ssrc, b0, header_len, csrcs in zip(
+                       cols.rtp_pt.tolist(), cols.rtp_seq.tolist(),
+                       cols.rtp_ts.tolist(), cols.rtp_marker.tolist(),
+                       self.rtp_ssrc.tolist(), self.rtp_b0.tolist(),
+                       self.rtp_header_len.tolist(), self.rtp_csrcs.tolist())]
         return list(map(PacketRecord, cols.arrival_us.tolist(),
                         _addresses(self.src_ip), _addresses(self.dst_ip),
                         self.src_port.tolist(), self.dst_port.tolist(),
-                        cols.payload_len.tolist(), self.headers(cols),
+                        cols.payload_len.tolist(), headers,
                         map(_media_class, cols.media_class.tolist())))
 
 

@@ -17,7 +17,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .classify import PayloadTypeMap
-from .heuristics import window_series
+from .heuristics import whole_seconds, window_series
 from .ingest import GroundTruthSeries, _atomic_write_csv
 from .session import (MEDIA_CODE, MICROS_PER_S, NO_CLASS, RTP_FIXED_HEADER_LEN,
                       MediaClass, PacketColumns, RecordFields, Session)
@@ -207,9 +207,10 @@ def truth_from_frame_log(frame_log, session_id="synth", w=1,
     (first_us, last_us): fps counts frames completing in the window,
     bitrate sums their media bytes, and jitter, missing for windows with
     fewer than 3 frames, is the population stddev of completion gaps. Frame
-    height follows the bitrate tier in windows with frames.
+    height follows the bitrate tier in windows with frames. w must be a
+    positive whole number of seconds (whole_seconds).
     """
-    w = int(w)
+    w = whole_seconds(w)
     if first_us is None:
         first_us = frame_log[0].emit_us
     if last_us is None:

@@ -3,9 +3,9 @@ import pytest
 
 from vcaqoe.assembly import assemble_rtp
 from vcaqoe.classify import classify_by_payload_type
-from vcaqoe.heuristics import estimate_series
+from vcaqoe.heuristics import estimate_series, session_windows
 from vcaqoe.session import Frame
-from vcaqoe.synth import SenderProfile, generate
+from vcaqoe.synth import SenderProfile, generate, truth_from_frame_log
 
 
 def frame(end_us, size=1000, start_us=None):
@@ -120,3 +120,25 @@ def test_series_matches_generator_truth_on_clean_trace():
         else:
             assert est.frame_jitter_ms == pytest.approx(row.frame_jitter_ms,
                                                         abs=1e-6)
+
+
+@pytest.mark.parametrize("w", [1.5, 0.5, 0, -1])
+def test_window_width_must_be_a_positive_integer(w):
+    session, _truth, log = generate(SenderProfile(), 6.0, seed=1)
+    with pytest.raises(ValueError, match="window"):
+        session_windows(session, w)
+    with pytest.raises(ValueError, match="window"):
+        truth_from_frame_log(log, w=w)
+
+
+def test_two_second_windows_are_unchanged():
+    session, _truth, log = generate(SenderProfile(), 6.0, seed=1)
+    assert session_windows(session, 1) == range(1700000001, 1700000007)
+    assert session_windows(session, 2) == range(1700000002, 1700000006, 2)
+    assert session_windows(session, 2.0) == session_windows(session, 2)
+    assert [(r.window_start, r.fps, r.bitrate_kbps, r.frame_height,
+             r.duration_s) for r in truth_from_frame_log(log, w=2).rows] == [
+        (1700000000, 27.0, 722.84, 360, 2.0),
+        (1700000002, 30.0, 806.276, 360, 2.0),
+        (1700000004, 30.0, 801.552, 360, 2.0),
+        (1700000006, 3.0, 80.324, 180, 2.0)]

@@ -1,5 +1,7 @@
 import struct
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from vcaqoe.ingest import (BadHeader, BadMagic, BadRow, DuplicateSecond,
@@ -12,8 +14,9 @@ from vcaqoe.synth import SenderProfile, generate
 
 # --- reference pcap writer, independent of the package's own -------------
 
-def ref_udp_frame(src_ip, dst_ip, sport, dport, payload, flags_frag=0):
-    eth = b"\xaa" * 12 + struct.pack(">H", 0x0800)
+def ref_udp_frame(src_ip, dst_ip, sport, dport, payload, flags_frag=0,
+                  macs=b"\xaa" * 12):
+    eth = macs + struct.pack(">H", 0x0800)
     udp = struct.pack(">HHHH", sport, dport, 8 + len(payload), 0) + payload
     ip = (struct.pack(">BBHHHBBH", 0x45, 0, 20 + len(udp), 0, flags_frag, 64,
                       17, 0)
@@ -148,6 +151,78 @@ def test_write_pcap_rejects_rtp_extension(tmp_path):
                                              100, rtp)])
     with pytest.raises(ValueError):
         write_pcap(session, str(tmp_path / "t.pcap"))
+
+
+def test_write_pcap_matches_reference_bytes(tmp_path):
+    # the MAC addresses write_pcap puts on every frame
+    macs = b"\x02" * 6 + b"\x04" * 6
+    # (arrival µs, ports, payload_len, RtpHeader, the header's bytes)
+    rows = [
+        (1_000_000, 1, 2, 600, RtpHeader(
+            2, False, False, True, 2, 102, 7, 0x1_0000_0BB8, 0x1111,
+            (0xAAAA0001, 0xBBBB0002), 20),
+         bytes.fromhex("82e6000700000bb800001111aaaa0001bbbb0002")),
+        (1_000_005, 1, 2, 40, RtpHeader(
+            2, True, False, False, 0, 102, 0x1_0008, 3000, 0x1111),
+         bytes.fromhex("a066000800000bb800001111")),
+        # payload_len shorter than the header: the header is written whole
+        (1_999_999, 5, 6, 9, RtpHeader(
+            2, False, False, False, 1, 111, 9, 3100, 0x2222, (0x3333,), 16),
+         bytes.fromhex("816f000900000c1c0000222200003333")),
+        (2_000_000, 3, 4, 30, None, b""),
+    ]
+    frames = []
+    for arrival, sport, dport, plen, _rtp, raw in rows:
+        frame = bytearray(ref_udp_frame("10.0.0.1", "192.168.7.200", sport,
+                                        dport, raw.ljust(plen, b"\x00"),
+                                        macs=macs))
+        struct.pack_into(">H", frame, 14 + 20 + 4, 8 + plen)
+        frames.append((arrival // 1_000_000, arrival % 1_000_000,
+                       bytes(frame)))
+    expected = tmp_path / "expected.pcap"
+    write_ref_pcap(expected, frames)
+
+    # string address columns, then int ones as read_pcap gives them
+    by_name = Session("s", "", [
+        PacketRecord(arrival, "10.0.0.1", "192.168.7.200", sport, dport,
+                     plen, rtp)
+        for arrival, sport, dport, plen, rtp, _raw in rows])
+    by_number = Session("s", "", columns=by_name.columns, fields=replace(
+        by_name.fields, src_ip=np.full(len(rows), 0x0A000001),
+        dst_ip=np.full(len(rows), 0xC0A807C8)))
+    for session in (by_name, by_number):
+        out = tmp_path / "out.pcap"
+        write_pcap(session, str(out))
+        assert out.read_bytes() == expected.read_bytes()
+
+
+def test_write_pcap_rejects_rtp_extension_before_creating_a_file(tmp_path):
+    plain = RtpHeader(2, False, False, False, 0, 102, 1, 1, 1)
+    extended = replace(plain, extension=True, header_len=16)
+    session = Session("s", "", [
+        PacketRecord(1, "1.1.1.1", "2.2.2.2", 1, 2, 100, plain),
+        PacketRecord(2, "1.1.1.1", "2.2.2.2", 1, 2, 100, extended)])
+    with pytest.raises(ValueError, match="extension"):
+        write_pcap(session, str(tmp_path / "t.pcap"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("column, value", [
+    ("arrival_us", -1), ("arrival_us", 2**32 * 1_000_000),
+    ("payload_len", -1), ("payload_len", 65_508), ("src_port", 65_536),
+    ("dst_port", -1), ("src_ip", 2**32)])
+def test_write_pcap_rejects_values_that_do_not_fit(tmp_path, column, value):
+    session = Session("s", "", [
+        PacketRecord(1, "1.1.1.1", "2.2.2.2", 1, 2, 100)])
+    cols, f = session.columns, session.fields
+    if hasattr(cols, column):
+        cols = replace(cols, **{column: np.array([value])})
+    else:
+        f = replace(f, **{column: np.array([value])})
+    with pytest.raises(ValueError):
+        write_pcap(Session("s", "", columns=cols, fields=f),
+                   str(tmp_path / "t.pcap"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_packet_csv_roundtrip(tmp_path):
