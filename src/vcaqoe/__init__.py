@@ -13,16 +13,15 @@ from .classify import (PayloadTypeMap, SizeThreshold, classification_report,
 from .evaluation import (ResolutionBinning, mae, mrae, resolution_confusion,
                          sweep, within_tolerance)
 from .features import (IPUDP_FEATURE_NAMES, RTP_FEATURE_NAMES, SemanticParams,
-                       flow_stats, rtp_features, semantic_features,
                        session_feature_rows)
 from .forest import (RandomForestClassifier, RandomForestRegressor,
                      kfold_by_session, load_forest, save_forest)
-from .heuristics import estimate_series, session_windows
+from .heuristics import session_windows, window_series
 from .ingest import (GroundTruthSeries, read_ground_truth_csv,
                      read_packet_csv, read_pcap, write_ground_truth_csv,
                      write_packet_csv, write_pcap)
 from .pipeline import analyze_session, paired_metric
-from .session import (Frame, MediaClass, PacketRecord, QoeWindow, RtpHeader,
+from .session import (MediaClass, PacketRecord, QoeWindow, RtpHeader,
                       Session, parse_rtp_header, serialize_rtp_header)
 from .synth import (ImpairmentProfile, SenderProfile, generate, impair,
                     truth_from_frame_log)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .session import NO_RTP, RTP_FIXED_HEADER_LEN, Frame, PacketColumns
+from .session import NO_RTP, RTP_FIXED_HEADER_LEN, PacketColumns
+
 
 class AssemblyError(Exception):
     pass
@@ -44,20 +45,20 @@ def assemble_ipudp(video_packets, params=IpUdpAssemblyParams()):
 
     Each packet is compared against up to n_max previous packets, most
     recent first; it joins the frame of the first one whose size is within
-    delta_size_max, otherwise it opens a new frame.
+    delta_size_max, otherwise it opens a new frame. Returns the
+    ipudp_frame_table of the packets' columns.
     """
-    cols = PacketColumns.of(video_packets)
-    return _frame_list(cols, ipudp_frame_table(cols, params))
+    return ipudp_frame_table(PacketColumns.of(video_packets), params)
 
 
 def assemble_rtp(video_packets):
     """Group video packets into frames by RTP timestamp (order-independent).
 
     The marker-bit packet, when present, fixes the frame end time; otherwise
-    the latest member arrival does.
+    the latest member arrival does. Returns the rtp_frame_table of the
+    packets' columns.
     """
-    cols = PacketColumns.of(video_packets)
-    return _frame_list(cols, rtp_frame_table(cols))
+    return rtp_frame_table(PacketColumns.of(video_packets))
 
 
 def lookback_labels(sizes, delta_size_max, n_max):
@@ -104,6 +105,9 @@ class FrameTable:
     end_us: np.ndarray
     size_bytes: np.ndarray
 
+    def __len__(self):
+        return len(self.lo)
+
 
 def _frame_table(cols, labels, marker_ends=False):
     """Group packets by dense frame label.
@@ -148,21 +152,6 @@ def rtp_frame_table(cols):
                        marker_ends=True)
 
 
-def _frame_list(cols, table):
-    members = table.members.tolist()
-    stamps_of = cols.rtp_ts[table.members].tolist()
-    frames = []
-    for fid, (lo, hi, size, start, end) in enumerate(zip(
-            table.lo.tolist(), table.hi.tolist(), table.size_bytes.tolist(),
-            table.start_us.tolist(), table.end_us.tolist())):
-        stamps = frozenset(stamps_of[lo:hi])
-        if NO_RTP in stamps:
-            stamps = stamps - {NO_RTP}
-        frames.append(Frame(fid, tuple(members[lo:hi]), size, start, end,
-                            stamps))
-    return frames
-
-
 @dataclass
 class AssemblyDiagnostics:
     split_count: int
@@ -170,33 +159,32 @@ class AssemblyDiagnostics:
     interleave_count: int
 
 
-def diagnose(estimated, truth_packets, params=IpUdpAssemblyParams()):
+def diagnose(table, truth_packets, params=IpUdpAssemblyParams()):
     """Count the heuristic's failure modes against RTP-derived truth.
 
-    splits: true frames whose intra-frame size spread exceeds the size
-    threshold; coalesces: estimated frames spanning more than one true RTP
-    timestamp; interleaves: estimated frames whose members are not
-    contiguous in arrival order.
+    table is a FrameTable over truth_packets (a PacketRecord list). splits:
+    true frames whose intra-frame size spread exceeds the size threshold;
+    coalesces: estimated frames spanning more than one true RTP timestamp;
+    interleaves: estimated frames whose members are not contiguous in
+    arrival order.
     """
-    for p in truth_packets:
-        if p.rtp is None:
-            raise MissingRtp("truth packets must carry RTP timestamps")
-
-    by_ts = {}
-    for p in truth_packets:
-        by_ts.setdefault(p.rtp.timestamp, []).append(p.payload_len)
-    split_count = sum(
-        1 for sizes in by_ts.values()
-        if max(sizes) - min(sizes) > params.delta_size_max)
-
-    coalesce_count = 0
-    interleave_count = 0
-    for f in estimated:
-        ts = {truth_packets[i].rtp.timestamp for i in f.packet_indices}
-        if len(ts) > 1:
-            coalesce_count += 1
-        idxs = sorted(f.packet_indices)
-        if idxs[-1] - idxs[0] != len(idxs) - 1:
-            interleave_count += 1
-    return AssemblyDiagnostics(split_count, coalesce_count, interleave_count)
-
+    cols = PacketColumns.of(truth_packets)
+    if (cols.rtp_ts == NO_RTP).any():
+        raise MissingRtp("truth packets must carry RTP timestamps")
+    order = np.argsort(cols.rtp_ts, kind="stable")
+    ts = cols.rtp_ts[order]
+    true_lo = np.flatnonzero(np.diff(ts, prepend=-1))
+    sizes = cols.payload_len[order]
+    split_count = np.count_nonzero(
+        np.maximum.reduceat(sizes, true_lo)
+        - np.minimum.reduceat(sizes, true_lo) > params.delta_size_max)
+    # reduceat needs ascending bounds: the frames in label order
+    lo = np.sort(table.lo)
+    stamps = cols.rtp_ts[table.members]
+    coalesce_count = np.count_nonzero(np.minimum.reduceat(stamps, lo)
+                                      != np.maximum.reduceat(stamps, lo))
+    interleave_count = np.count_nonzero(
+        table.members[table.hi - 1] - table.members[table.lo]
+        != table.hi - table.lo - 1)
+    return AssemblyDiagnostics(int(split_count), int(coalesce_count),
+                               int(interleave_count))

@@ -22,7 +22,7 @@ from .features import IPUDP_FEATURE_NAMES, RTP_FEATURE_NAMES, SemanticParams, \
     session_feature_rows
 from .forest import (ForestError, RandomForestClassifier,
                      RandomForestRegressor, load_forest, save_forest)
-from .heuristics import session_windows
+from .heuristics import session_windows, whole_seconds
 from .ingest import (IngestError, _atomic_write_bytes, _atomic_write_csv,
                      read_ground_truth_csv, read_packet_csv, read_pcap,
                      truth_cells, write_ground_truth_csv, write_packet_csv)
@@ -124,7 +124,7 @@ def cmd_analyze(args):
         n_max = params_for_vca(args.vca).n_max
     params = IpUdpAssemblyParams(delta_size_max=args.delta, n_max=n_max)
     series = analyze_session(session, args.method, params,
-                             SizeThreshold(args.vmin), w=float(args.window))
+                             SizeThreshold(args.vmin), w=args.window)
     rows = [series[k] for k in session_windows(session, args.window)]
     write_ground_truth_csv(rows, args.output)
     return 0
@@ -348,13 +348,12 @@ def cmd_sweep(args):
         table = sweeps.jitter_sweep(values, n_sessions=args.sessions,
                                     duration_s=args.duration, seeds=seeds)
     elif args.axis == "window":
-        windows = [int(v) for v in values]
-        if min(windows) < 1:
-            raise ValueError("window values must be at least 1 second")
-        table = sweeps.window_sweep(windows,
+        table = sweeps.window_sweep([whole_seconds(v) for v in values],
                                     n_sessions=args.sessions,
                                     duration_s=args.duration, seed=args.seed)
     else:
+        if not all(v >= 1 and v.is_integer() for v in values):
+            raise ValueError("lookback values must be positive integers")
         table = sweeps.lookback_sweep([int(v) for v in values],
                                       n_sessions=args.sessions,
                                       duration_s=args.duration,
@@ -396,7 +395,7 @@ def build_parser():
     p.add_argument("--size-jitter", type=float, default=0.05)
     p.add_argument("--audio-pps", type=float, default=50.0)
     p.add_argument("--non-separable", action="store_true")
-    p.add_argument("--separable-depth", type=int, default=3)
+    p.add_argument("--separable-depth", type=_positive_int, default=3)
     p.add_argument("--loss", type=float, default=0.0,
                    help="Bernoulli loss percent")
     p.add_argument("--jitter", type=float, default=0.0,

@@ -49,11 +49,6 @@ class SemanticParams:
 FIVE_STATS = (np.mean, np.std, np.median, np.min, np.max)
 
 
-def _whole(n):
-    """Segment bounds of one segment holding all n rows."""
-    return np.array([0]), np.array([n])
-
-
 def _inner_gaps(lo, hi):
     """Bounds, in the diff of a column, of the gaps between rows inside each
     segment [lo[i], hi[i]) of the column."""
@@ -127,19 +122,6 @@ def _rtp_rows(media, lo, hi, lags, lag_lo, lag_hi):
         segment_stats(lags, lag_lo, lag_hi, FIVE_STATS))).astype(float)
 
 
-def flow_stats(window, w=1.0):
-    """12 flow-level statistics over one window of video packets
-    (PacketColumns, in arrival order)."""
-    return _flow_rows(window, *_whole(len(window)), w)[0].tolist()
-
-
-def semantic_features(window, params=SemanticParams()):
-    """Unique packet-size count and microburst count for one window of
-    video packets (PacketColumns, in arrival order)."""
-    return tuple(_semantic_rows(window, *_whole(len(window)),
-                                params)[0].tolist())
-
-
 def frame_lags(end_us, rtp_ts, origin, sampling_freq):
     """Per-frame delay in seconds relative to the schedule implied by RTP
     timestamps, for frames ending at end_us with timestamps rtp_ts.
@@ -152,19 +134,6 @@ def frame_lags(end_us, rtp_ts, origin, sampling_freq):
     delta[delta >= 1 << 31] -= 1 << 32
     sched_us = t0_us + delta * MICROS_PER_S / sampling_freq
     return (np.asarray(end_us, dtype=np.int64) - sched_us) / MICROS_PER_S
-
-
-def rtp_features(window, lags=()):
-    """RTP feature block for one window (12 values).
-
-    window holds the window's media-classified packets (PacketColumns, in
-    arrival order); video and retransmission rows are told apart by
-    media_class. lags are the frame lags of the RTP frames ending in the
-    window.
-    """
-    lags = np.asarray(lags, dtype=np.float64)
-    return _rtp_rows(window, *_whole(len(window)), lags,
-                     *_whole(len(lags)))[0].tolist()
 
 
 def session_feature_rows(session, feature_set="ipudp", w=1,

@@ -1,7 +1,8 @@
 """Random forest regressor/classifier built from scratch on numpy.
 
-Both estimators follow the sklearn fit/predict/get_params convention so
-they compose with ecosystem tooling, but carry no external ML dependency.
+Both estimators follow the sklearn fit/predict convention, with
+get_params giving the constructor arguments that save_forest records, but
+carry no external ML dependency.
 Training is deterministic for a fixed seed: every tree draws its bootstrap
 sample and per-node feature subsets from its own RNG stream derived from
 (seed, tree index), so parallel scheduling cannot change the result.
@@ -157,14 +158,6 @@ class _BaseForest:
     def get_params(self, deep=True):
         names = inspect.signature(type(self).__init__).parameters
         return {k: getattr(self, k) for k in names if k != "self"}
-
-    def set_params(self, **params):
-        valid = self.get_params()
-        for k, v in params.items():
-            if k not in valid:
-                raise ValueError(f"unknown parameter {k!r}")
-            setattr(self, k, v)
-        return self
 
     def _resolve_max_features(self, d):
         mf = self.max_features

@@ -17,26 +17,20 @@ from .session import MICROS_PER_S, QoeWindow
 MIN_FRAMES_FOR_JITTER = 3
 
 
-def window_segments(times_us, w=1.0, span_us=None):
+def window_segments(times_us, w, span_us):
     """Windows of w seconds over sorted int64 µs times: (keys, lo, hi).
 
     times_us[lo[i]:hi[i]] fall in the window that starts keys[i] seconds
-    after the epoch. Whole-second windows cover every window from the one
-    holding the first time to the one holding the last, or over
-    span_us=(first, last) when given; their keys are ints. Sub-second
-    windows cover only those holding a time; their keys are floats.
+    after the epoch. The windows run from the one holding span_us[0] to
+    the one holding span_us[1]; w is a positive whole number of seconds
+    (whole_seconds) and the keys are ints.
     """
-    w_us = int(round(w * MICROS_PER_S))
+    w_us = w * MICROS_PER_S
     window = times_us // w_us
-    if w_us % MICROS_PER_S == 0:
-        first, last = (span_us if span_us is not None
-                       else (times_us[0], times_us[-1]))
-        windows = np.arange(first // w_us, last // w_us + 1)
-        keys = (windows * (w_us // MICROS_PER_S)).tolist()
-    else:
-        windows = np.unique(window)
-        keys = (windows * w_us / MICROS_PER_S).tolist()
-    return (keys, np.searchsorted(window, windows, side="left"),
+    first, last = span_us
+    windows = np.arange(first // w_us, last // w_us + 1)
+    return ((windows * w).tolist(),
+            np.searchsorted(window, windows, side="left"),
             np.searchsorted(window, windows, side="right"))
 
 
@@ -93,29 +87,13 @@ def session_windows(session, w=1):
     return range(-(-(first + 1) // w) * w, last + 2 - w, w)
 
 
-def estimate_series(frames, w=1.0, span_us=None):
-    """All per-window QoE estimates for a frame sequence.
-
-    Returns {window_start: QoeWindow} covering every window between the
-    first and last frame end, or over span_us=(first, last) when given so
-    frame-free windows report zero. Resolution is never estimated by this
-    method.
+def window_series(end_us, size_bytes, w, span_us):
+    """Per-window QoE estimates from frame end times and sizes (int64
+    arrays): {window_start: QoeWindow} over the windows of window_segments,
+    so frame-free windows in span_us=(first, last) report zero. w is a
+    positive whole number of seconds (whole_seconds). Resolution is never
+    estimated by this method.
     """
-    n = len(frames)
-    return window_series(
-        np.fromiter((f.end_us for f in frames), np.int64, n),
-        np.fromiter((f.size_bytes for f in frames), np.int64, n),
-        w, span_us)
-
-
-def window_series(end_us, size_bytes, w=1.0, span_us=None):
-    """Per-window estimates from frame end times and sizes (int64 arrays).
-
-    This is estimate_series on columns, over the windows of
-    window_segments.
-    """
-    if len(end_us) == 0 and span_us is None:
-        return {}
     order = np.argsort(end_us, kind="stable")
     end_us = end_us[order]
     keys, first, stop = window_segments(end_us, w, span_us)
@@ -126,7 +104,7 @@ def window_series(end_us, size_bytes, w=1.0, span_us=None):
     jitter = segment_stats(np.diff(end_us), np.maximum(first[timed], 1) - 1,
                            stop[timed] - 1, (np.std,))[:, 0] / 1000.0
     jitter = dict(zip(timed.tolist(), jitter.tolist()))
-    return {k: QoeWindow(window_start=k, duration_s=w, fps=fps,
+    return {k: QoeWindow(window_start=k, duration_s=float(w), fps=fps,
                          bitrate_kbps=kbps, frame_jitter_ms=jitter.get(i))
             for i, (k, fps, kbps) in enumerate(zip(
                 keys, (counts / w).tolist(),

@@ -4,23 +4,24 @@ from __future__ import annotations
 
 from .assembly import IpUdpAssemblyParams, ipudp_frame_table, rtp_frame_table
 from .classify import PayloadTypeMap, SizeThreshold
-from .heuristics import session_windows, window_series
+from .heuristics import session_windows, whole_seconds, window_series
 # PacketColumns stays importable here: bench/tracing.py wraps its `of`
 from .session import MEDIA_CODE, MediaClass, PacketColumns  # noqa: F401
 
 
 def analyze_session(session, method="ipudp", params=None, threshold=None,
-                    ptmap=None, w=1.0):
+                    ptmap=None, w=1):
     """Per-window QoE estimates for one session.
 
     method "ipudp": size-threshold classification + size-difference
     assembly; method "rtp": payload-type classification + RTP-timestamp
-    grouping. Returns {window_start: QoeWindow}, the same series that
-    estimate_series gives for the frames of assemble_ipudp/assemble_rtp
-    over the classified session's video packets.
+    grouping. Returns {window_start: QoeWindow}, the window_series of the
+    frames over the session's span. w is a positive whole number of
+    seconds (whole_seconds).
     """
     if method not in ("ipudp", "rtp"):
         raise ValueError(f"unknown method {method!r}")
+    w = whole_seconds(w)
     cols = session.columns
     if method == "ipudp":
         video = cols.take((threshold or SizeThreshold()).is_video(
@@ -32,7 +33,7 @@ def analyze_session(session, method="ipudp", params=None, threshold=None,
         frames = rtp_frame_table(
             cols.take(classes == MEDIA_CODE[MediaClass.VIDEO]))
     span = (int(cols.arrival_us[0]), int(cols.arrival_us[-1]))
-    return window_series(frames.end_us, frames.size_bytes, w, span_us=span)
+    return window_series(frames.end_us, frames.size_bytes, w, span)
 
 
 def paired_metric(est_series, truth_rows, metric, session=None, w=1):

@@ -1,4 +1,4 @@
-"""Core domain types: packets, RTP headers, frames, sessions, QoE windows.
+"""Core domain types: packets, RTP headers, sessions, QoE windows.
 
 All timestamps are carried internally as 64-bit microsecond integers and
 converted to float seconds only at API edges, so window assignment never
@@ -114,16 +114,6 @@ class PacketRecord:
     payload_len: int
     rtp: Optional[RtpHeader] = None
     media_class: Optional[MediaClass] = None
-
-
-@dataclass(frozen=True, slots=True)
-class Frame:
-    frame_id: int
-    packet_indices: tuple
-    size_bytes: int
-    start_us: int
-    end_us: int
-    rtp_timestamps: frozenset = frozenset()
 
 
 MEDIA_CLASSES = tuple(MediaClass)   # media_class column value i is MEDIA_CLASSES[i]

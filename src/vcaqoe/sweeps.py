@@ -31,56 +31,57 @@ def _fps_mae(corpus, assembly_params=None, w=1):
         if w != 1:
             truth_series = truth_from_frame_log(frame_log,
                                                 session.session_id, w=w)
-        est = analyze_session(session, "ipudp", assembly_params, w=float(w))
+        est = analyze_session(session, "ipudp", assembly_params, w=w)
         p, t = paired_metric(est, truth_series.rows, "fps", session, w=w)
         pred += p
         truth += t
     return mae(pred, truth)
 
 
+def _impairment_sweep(values, impairment_of, profile, n_sessions,
+                      duration_s, seeds):
+    """Frame-rate MAE of the size heuristic at each axis value, averaged
+    over seeds; each seed's corpus is impaired by impairment_of(value)."""
+    profile = profile or SenderProfile()
+
+    def run(value):
+        maes = [_fps_mae(_corpus(profile, n_sessions, duration_s,
+                                 1000 * (s + 1), impairment_of(value)))
+                for s in seeds]
+        return sum(maes) / len(maes)
+
+    return sweep(run, list(values))
+
+
 def loss_sweep(loss_values_pct, profile=None, n_sessions=5, duration_s=30.0,
                seeds=(0, 1, 2, 3, 4)):
     """Frame-rate MAE of the size heuristic vs Bernoulli loss rate,
     averaged over seeds."""
-    profile = profile or SenderProfile()
-
-    def run(loss_pct):
-        maes = []
-        for s in seeds:
-            imp = ImpairmentProfile(delay_jitter_ms=5.0,
-                                    loss_prob=loss_pct / 100.0)
-            corpus = _corpus(profile, n_sessions, duration_s,
-                             1000 * (s + 1), imp)
-            maes.append(_fps_mae(corpus))
-        return sum(maes) / len(maes)
-
-    return sweep(run, list(loss_values_pct))
+    return _impairment_sweep(
+        loss_values_pct, lambda loss_pct: ImpairmentProfile(
+            delay_jitter_ms=5.0, loss_prob=loss_pct / 100.0),
+        profile, n_sessions, duration_s, seeds)
 
 
 def jitter_sweep(jitter_values_ms, profile=None, n_sessions=5,
                  duration_s=30.0, seeds=(0, 1, 2, 3, 4)):
-    profile = profile or SenderProfile()
-
-    def run(jitter_ms):
-        maes = []
-        for s in seeds:
-            imp = ImpairmentProfile(delay_jitter_ms=jitter_ms)
-            corpus = _corpus(profile, n_sessions, duration_s,
-                             1000 * (s + 1), imp)
-            maes.append(_fps_mae(corpus))
-        return sum(maes) / len(maes)
-
-    return sweep(run, list(jitter_values_ms))
+    """Frame-rate MAE of the size heuristic vs delay jitter, averaged over
+    seeds."""
+    return _impairment_sweep(
+        jitter_values_ms,
+        lambda jitter_ms: ImpairmentProfile(delay_jitter_ms=jitter_ms),
+        profile, n_sessions, duration_s, seeds)
 
 
 def window_sweep(window_sizes_s, profile=None, n_sessions=5,
                  duration_s=60.0, seed=0,
                  impairment=ImpairmentProfile(delay_jitter_ms=30.0,
                                               loss_prob=0.02)):
-    """Frame-rate MAE vs prediction window size on one impaired corpus."""
+    """Frame-rate MAE vs prediction window size on one impaired corpus;
+    each size is a positive whole number of seconds."""
     profile = profile or SenderProfile()
     corpus = _corpus(profile, n_sessions, duration_s, seed, impairment)
-    return sweep(lambda w: _fps_mae(corpus, w=int(w)), list(window_sizes_s))
+    return sweep(lambda w: _fps_mae(corpus, w=w), list(window_sizes_s))
 
 
 def lookback_sweep(lookbacks, profile=None, n_sessions=5, duration_s=30.0,

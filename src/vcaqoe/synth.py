@@ -74,6 +74,8 @@ class SenderProfile:
             raise InvalidProfile("fps and bitrate must be positive")
         if self.keyframe_interval < 0:
             raise InvalidProfile("keyframe_interval must not be negative")
+        if self.separable_depth < 1:
+            raise InvalidProfile("separable_depth must be at least 1")
         if self.max_payload <= RTP_FIXED_HEADER_LEN:
             raise InvalidProfile("max_payload must exceed the RTP header")
         lo, hi = self.audio_size_range
@@ -154,9 +156,8 @@ def generate(profile: SenderProfile, duration_s: float, seed: int,
             size = MIN_PACKET_MEDIA * n_pkts
             chunk = MIN_PACKET_MEDIA
         if profile.separable:
-            depth = max(1, int(profile.separable_depth))
             while any(abs(chunk - c) < SEPARATION_MARGIN
-                      for c in recent_chunks[-depth:]):
+                      for c in recent_chunks[-profile.separable_depth:]):
                 size += n_pkts
                 chunk = size // n_pkts
         chunks = fragment_sizes(size, profile.max_payload)
@@ -222,7 +223,6 @@ def truth_from_frame_log(frame_log, session_id="synth", w=1,
         w, span_us=(first_us, last_us))
     rows = list(series.values())
     for row in rows:
-        row.duration_s = float(w)
         if row.fps > 0:
             row.frame_height = next(h for edge, h in HEIGHT_TIERS
                                     if row.bitrate_kbps <= edge)

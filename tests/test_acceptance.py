@@ -68,8 +68,8 @@ def test_criterion_01_oracle_equivalence_clean(clean_corpus):
         video = classify_by_size(session).video_packets()
         est = assemble_ipudp(video, IpUdpAssemblyParams())
         labels_est = np.empty(len(video), dtype=np.int64)
-        for fid, f in enumerate(est):
-            labels_est[list(f.packet_indices)] = fid
+        for fid, (lo, hi) in enumerate(zip(est.lo, est.hi)):
+            labels_est[est.members[lo:hi]] = fid
         labels_oracle = np.array([p.rtp.timestamp for p in video])
         assert rand_index(labels_est, labels_oracle) == 1.0
         for method in ("ipudp", "rtp"):

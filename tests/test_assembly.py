@@ -19,10 +19,16 @@ def packets_with_sizes(sizes, spacing_us=1000):
     return [vp(i * spacing_us, s) for i, s in enumerate(sizes)]
 
 
+def members(table):
+    """Each frame's packet indices, ascending, in table order."""
+    return [tuple(table.members[lo:hi].tolist())
+            for lo, hi in zip(table.lo, table.hi)]
+
+
 def test_ipudp_boundary_on_size_jump():
     pkts = packets_with_sizes([1100, 1100, 1102, 900, 900])
     frames = assemble_ipudp(pkts, IpUdpAssemblyParams(2, 1))
-    assert sorted(len(f.packet_indices) for f in frames) == [2, 3]
+    assert sorted(map(len, members(frames))) == [2, 3]
 
 
 def test_ipudp_coalesces_similar_sizes():
@@ -30,7 +36,7 @@ def test_ipudp_coalesces_similar_sizes():
     pkts = packets_with_sizes([1022, 1020])
     frames = assemble_ipudp(pkts, IpUdpAssemblyParams(2, 1))
     assert len(frames) == 1
-    assert frames[0].packet_indices == (0, 1)
+    assert members(frames)[0] == (0, 1)
 
 
 def test_ipudp_lookback_rescues_interleaved_packet():
@@ -45,23 +51,23 @@ def test_ipudp_lookback_rescues_interleaved_packet():
 def test_ipudp_partition_covers_all_packets():
     pkts = packets_with_sizes([700, 702, 1400, 1402, 700, 1500, 1500])
     frames = assemble_ipudp(pkts, IpUdpAssemblyParams(2, 3))
-    seen = sorted(i for f in frames for i in f.packet_indices)
+    seen = sorted(i for f in members(frames) for i in f)
     assert seen == list(range(len(pkts)))
 
 
 def test_ipudp_byte_conservation_and_end_time():
     pkts = packets_with_sizes([700, 702, 1400, 1402, 700])
     frames = assemble_ipudp(pkts, IpUdpAssemblyParams(2, 2))
-    total = sum(f.size_bytes for f in frames)
+    total = frames.size_bytes.sum()
     assert total == sum(p.payload_len - RTP_FIXED_HEADER_LEN for p in pkts)
-    for f in frames:
-        assert f.end_us == max(pkts[i].arrival_us for i in f.packet_indices)
-        assert f.end_us >= f.start_us
-        assert f.size_bytes > 0
+    for f, idxs in enumerate(members(frames)):
+        assert frames.end_us[f] == max(pkts[i].arrival_us for i in idxs)
+        assert frames.end_us[f] >= frames.start_us[f]
+        assert frames.size_bytes[f] > 0
 
 
 def test_ipudp_empty_input():
-    assert assemble_ipudp([], IpUdpAssemblyParams()) == []
+    assert len(assemble_ipudp([], IpUdpAssemblyParams())) == 0
 
 
 def test_ipudp_matches_rtp_partition_on_generator_trace():
@@ -74,7 +80,7 @@ def test_ipudp_matches_rtp_partition_on_generator_trace():
     oracle = {}
     for i, p in enumerate(video):
         oracle.setdefault(p.rtp.timestamp, []).append(i)
-    est_parts = sorted(sorted(f.packet_indices) for f in est)
+    est_parts = sorted(list(f) for f in members(est))
     oracle_parts = sorted(sorted(v) for v in oracle.values())
     assert est_parts == oracle_parts
 
@@ -82,13 +88,13 @@ def test_ipudp_matches_rtp_partition_on_generator_trace():
 def test_rtp_groups_by_timestamp():
     pkts = [vp(0, 700, ts=3000), vp(10, 700, ts=3000), vp(20, 700, ts=6000)]
     frames = assemble_rtp(pkts)
-    assert sorted(len(f.packet_indices) for f in frames) == [1, 2]
+    assert sorted(map(len, members(frames))) == [1, 2]
 
 
 def test_rtp_order_independent():
     a = assemble_rtp([vp(0, 700, ts=3000), vp(10, 700, ts=6000),
                       vp(20, 700, ts=3000)])
-    parts = sorted(sorted(f.packet_indices) for f in a)
+    parts = sorted(list(f) for f in members(a))
     assert parts == [[0, 2], [1]]
 
 
@@ -97,7 +103,7 @@ def test_rtp_marker_fixes_end_time():
             vp(20, 700, ts=3000)]
     frames = assemble_rtp(pkts)
     assert len(frames) == 1
-    assert frames[0].end_us == 10
+    assert frames.end_us[0] == 10
 
 
 def test_rtp_frame_count_equals_distinct_timestamps():
@@ -144,7 +150,7 @@ def test_diagnose_counts_interleave():
 
 def test_diagnose_needs_rtp():
     with pytest.raises(MissingRtp):
-        diagnose([], [vp(0, 700)])
+        diagnose(assemble_ipudp([]), [vp(0, 700)])
 
 
 def test_vca_lookback_profiles():

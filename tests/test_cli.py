@@ -407,6 +407,9 @@ def test_config_keys_of_other_subcommands_are_not_converted(tmp_path,
     ["--axis", "loss", "--values", "0", "--sessions", "0"],
     ["--axis", "window", "--values", "0"],
     ["--axis", "window", "--values", "2,0.5"],
+    ["--axis", "window", "--values", "1.5"],
+    ["--axis", "lookback", "--values", "2.5"],
+    ["--axis", "lookback", "--values", "0"],
 ])
 def test_sweep_bad_sizes_are_input_errors(tmp_path, flags):
     out = tmp_path / "sweep.csv"
@@ -546,7 +549,9 @@ def test_rtp_commands_on_input_without_rtp_are_input_errors(tmp_path, corpus,
 
 
 @pytest.mark.parametrize("flags", [["--sessions", "0"], ["--sessions", "-1"],
-                                   ["--keyframe-interval", "-3"]])
+                                   ["--keyframe-interval", "-3"],
+                                   ["--separable-depth", "-2"],
+                                   ["--separable-depth", "0"]])
 def test_synth_bad_counts_are_input_errors(tmp_path, flags):
     out = tmp_path / "corpus"
     assert run(["synth", *flags, "--duration", "3", "-o", str(out)]) == 1

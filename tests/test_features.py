@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,8 @@ from vcaqoe.classify import classify_by_payload_type
 from vcaqoe.features import (FLOW_FEATURES, IPUDP_FEATURE_NAMES,
                              RTP_FEATURE_NAMES, RTP_ONLY_FEATURES,
                              SEMANTIC_FEATURES, MissingRtp, SemanticParams,
-                             flow_stats, frame_lags, rtp_features,
-                             semantic_features, session_feature_rows)
-from vcaqoe.session import MediaClass, PacketColumns, PacketRecord, RtpHeader
+                             frame_lags, session_feature_rows)
+from vcaqoe.session import MediaClass, PacketRecord, RtpHeader, Session
 from vcaqoe.synth import SenderProfile, generate
 
 
@@ -21,8 +22,37 @@ def pkt(us, size, pt=None, seq=0, ts=0, marker=False, cls=None):
     return p
 
 
-def cols(pkts):
-    return PacketColumns.of(pkts)
+def window_row(pkts, feature_set="ipudp", w=1, params=SemanticParams()):
+    """The feature row of a session whose packets fall in one w-second
+    window; a packet without a media class counts as video."""
+    pkts = [p if p.media_class else replace(p, media_class=MediaClass.VIDEO)
+            for p in pkts]
+    keys, rows = session_feature_rows(Session("s", "", pkts), feature_set, w,
+                                      params)
+    assert len(keys) == 1
+    return rows[0].tolist()
+
+
+def flow_stats(pkts, w=1):
+    return window_row(pkts, w=w)[:12]
+
+
+def semantic_features(pkts, params=SemanticParams()):
+    return tuple(window_row(pkts, params=params)[12:])
+
+
+def rtp_features(pkts):
+    return window_row(pkts, "rtp")[12:]
+
+
+def empty_window_row():
+    """The IP/UDP feature row of a window without video packets, between
+    two windows with one."""
+    keys, rows = session_feature_rows(
+        Session("s", "", [pkt(0, 900, cls=MediaClass.VIDEO),
+                          pkt(2_000_000, 900, cls=MediaClass.VIDEO)]))
+    assert keys == [0, 1, 2]
+    return rows[1].tolist()
 
 
 def test_feature_name_layout():
@@ -36,7 +66,7 @@ def test_feature_name_layout():
 
 def test_flow_stats_hand_example():
     pkts = [pkt(0, 1000), pkt(10_000, 1200), pkt(30_000, 800)]
-    out = flow_stats(cols(pkts), w=1.0)
+    out = flow_stats(pkts)
     assert out[0] == pytest.approx(3000.0)          # bytes_per_s
     assert out[1] == pytest.approx(3.0)             # pkts_per_s
     assert out[2] == pytest.approx(1000.0)          # size_mean
@@ -50,22 +80,22 @@ def test_flow_stats_hand_example():
 
 
 def test_flow_stats_empty_and_singleton():
-    assert flow_stats(cols([]), 1.0) == [0.0] * 12
-    single = flow_stats(cols([pkt(0, 900)]), 1.0)
+    assert empty_window_row()[:12] == [0.0] * 12
+    single = flow_stats([pkt(0, 900)])
     assert single[0] == 900.0 and single[1] == 1.0
     assert single[7:] == [0.0] * 5
 
 
 def test_flow_stats_scales_with_window():
     pkts = [pkt(0, 1000), pkt(500_000, 1000)]
-    out = flow_stats(cols(pkts), w=2.0)
+    out = flow_stats(pkts, w=2)
     assert out[0] == pytest.approx(1000.0)
     assert out[1] == pytest.approx(1.0)
 
 
 def test_semantic_unique_sizes():
     pkts = [pkt(0, 1000), pkt(10, 1000), pkt(20, 1001), pkt(30, 998)]
-    n_unique, _ = semantic_features(cols(pkts))
+    n_unique, _ = semantic_features(pkts)
     assert n_unique == 3.0
 
 
@@ -73,11 +103,10 @@ def test_semantic_microbursts():
     # gaps: 1 ms, 5 ms, 0.1 ms, 4 ms at theta 3 ms -> 1 + 2 = 3 bursts
     times = [0, 1_000, 6_000, 6_100, 10_100]
     pkts = [pkt(t, 1000) for t in times]
-    _, bursts = semantic_features(cols(pkts),
-                                  SemanticParams(theta_iat_ms=3.0))
+    _, bursts = semantic_features(pkts, SemanticParams(theta_iat_ms=3.0))
     assert bursts == 3.0
-    assert semantic_features(cols([]), SemanticParams()) == (0.0, 0.0)
-    assert semantic_features(cols([pkt(0, 900)]))[1] == 1.0
+    assert tuple(empty_window_row()[12:]) == (0.0, 0.0)
+    assert semantic_features([pkt(0, 900)])[1] == 1.0
 
 
 def test_microbursts_match_generated_frame_count():
@@ -89,21 +118,21 @@ def test_microbursts_match_generated_frame_count():
     wus = 1_000_000
     k = (video[0].arrival_us // wus + 1) * wus
     window = [p for p in video if k <= p.arrival_us < k + wus]
-    _, bursts = semantic_features(cols(window))
+    _, bursts = semantic_features(window)
     assert bursts == 30.0
 
 
 def test_ooo_count_example():
     pkts = [pkt(i * 10, 900, pt=102, seq=s, cls=MediaClass.VIDEO)
             for i, s in enumerate([5, 6, 8, 7])]
-    out = rtp_features(cols(pkts))
+    out = rtp_features(pkts)
     assert out[RTP_ONLY_FEATURES.index("ooo_count")] == 1.0
 
 
 def test_ooo_count_ignores_wrap():
     pkts = [pkt(i * 10, 900, pt=102, seq=s, cls=MediaClass.VIDEO)
             for i, s in enumerate([65534, 65535, 0, 1])]
-    out = rtp_features(cols(pkts))
+    out = rtp_features(pkts)
     assert out[RTP_ONLY_FEATURES.index("ooo_count")] == 0.0
 
 
@@ -114,7 +143,7 @@ def test_ooo_count_ignores_wrap():
 def test_ooo_count_across_wrap(seqs):
     pkts = [pkt(i * 10, 900, pt=102, seq=s, cls=MediaClass.VIDEO)
             for i, s in enumerate(seqs)]
-    out = rtp_features(cols(pkts))
+    out = rtp_features(pkts)
     assert out[RTP_ONLY_FEATURES.index("ooo_count")] == 1.0
 
 
@@ -124,7 +153,7 @@ def test_rtp_timestamp_set_features():
             pkt(20, 900, pt=102, ts=3000, marker=True, cls=MediaClass.VIDEO),
             pkt(30, 900, pt=103, ts=0, cls=MediaClass.VIDEO_RETX),
             pkt(40, 900, pt=103, ts=6000, cls=MediaClass.VIDEO_RETX)]
-    out = rtp_features(cols(pkts))
+    out = rtp_features(pkts)
     idx = {n: i for i, n in enumerate(RTP_ONLY_FEATURES)}
     assert out[idx["unique_rtp_ts_video"]] == 2.0
     assert out[idx["unique_rtp_ts_retx"]] == 2.0
@@ -137,7 +166,7 @@ def test_rtp_timestamp_set_features():
 def test_rtp_features_require_headers():
     p = pkt(0, 900, cls=MediaClass.VIDEO)
     with pytest.raises(MissingRtp):
-        rtp_features(cols([p]))
+        rtp_features([p])
 
 
 def test_frame_lags_zero_on_schedule():

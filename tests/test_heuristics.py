@@ -3,15 +3,13 @@ import pytest
 
 from vcaqoe.assembly import assemble_rtp
 from vcaqoe.classify import classify_by_payload_type
-from vcaqoe.heuristics import estimate_series, session_windows
-from vcaqoe.session import Frame
+from vcaqoe.heuristics import session_windows, window_series
+from vcaqoe.pipeline import analyze_session
 from vcaqoe.synth import SenderProfile, generate, truth_from_frame_log
 
 
-def frame(end_us, size=1000, start_us=None):
-    start = end_us if start_us is None else start_us
-    return Frame(frame_id=0, packet_indices=(0,), start_us=start,
-                 end_us=end_us, size_bytes=size, rtp_timestamps=frozenset())
+def frame(end_us, size=1000):
+    return end_us, size
 
 
 def frames_at_fps(fps, start_us, n, size=1000):
@@ -19,26 +17,34 @@ def frames_at_fps(fps, start_us, n, size=1000):
             for i in range(n)]
 
 
+def series_of(frames, w=1, span_us=None):
+    """window_series of (end_us, size) frames, over the span of their end
+    times unless span_us is given."""
+    end_us = np.array([end for end, _ in frames], dtype=np.int64)
+    size_bytes = np.array([size for _, size in frames], dtype=np.int64)
+    if span_us is None:
+        span_us = (end_us.min(), end_us.max())
+    return window_series(end_us, size_bytes, w, span_us)
+
+
+def table_series(table):
+    """window_series of a FrameTable over the span of its frame ends."""
+    return window_series(table.end_us, table.size_bytes, 1,
+                         (table.end_us.min(), table.end_us.max()))
+
+
 def test_frame_rate_counts_window_ends():
     frames = frames_at_fps(30, 100_000_000, 60)
-    series = estimate_series(frames, span_us=(99_000_000, 101_999_999))
+    series = series_of(frames, span_us=(99_000_000, 101_999_999))
     assert series[100].fps == 30.0
     assert series[101].fps == 30.0
     assert series[99].fps == 0.0
 
 
-def test_frame_rate_subsecond_window():
-    # 15 frames in each half-second at 30 fps -> 30.0 fps at w=0.5
-    frames = frames_at_fps(30, 100_000_000, 30)
-    series = estimate_series(frames, w=0.5)
-    assert series[100].fps == 30.0
-    assert series[100.5].fps == 30.0
-
-
 def test_bitrate_example():
     # 30 frames of 1000 bytes in one second -> 240 kbps
     frames = frames_at_fps(30, 100_000_000, 30, size=1000)
-    series = estimate_series(frames, span_us=(99_000_000, 100_999_999))
+    series = series_of(frames, span_us=(99_000_000, 100_999_999))
     assert series[100].bitrate_kbps == pytest.approx(240.0)
     assert series[99].bitrate_kbps == 0.0
 
@@ -46,18 +52,18 @@ def test_bitrate_example():
 def test_jitter_hand_example():
     # gaps 30 ms and 50 ms -> population stddev 10 ms
     frames = [frame(100_000_000), frame(100_030_000), frame(100_080_000)]
-    assert estimate_series(frames)[100].frame_jitter_ms == pytest.approx(10.0)
+    assert series_of(frames)[100].frame_jitter_ms == pytest.approx(10.0)
 
 
 def test_jitter_uniform_spacing_is_exact_zero():
     frames = frames_at_fps(25, 100_000_000, 75)
-    series = estimate_series(frames)
+    series = series_of(frames)
     assert series[101].frame_jitter_ms == 0.0
 
 
 def test_jitter_missing_below_three_frames():
     frames = [frame(100_000_000), frame(100_030_000)]
-    assert estimate_series(frames)[100].frame_jitter_ms is None
+    assert series_of(frames)[100].frame_jitter_ms is None
 
 
 def test_straddling_gap_belongs_to_later_window():
@@ -65,7 +71,7 @@ def test_straddling_gap_belongs_to_later_window():
     # contributes to window 101
     frames = [frame(100_990_000), frame(101_020_000), frame(101_050_000),
               frame(101_090_000)]
-    series = estimate_series(frames)
+    series = series_of(frames)
     gaps_ms = np.array([30_000, 30_000, 40_000], dtype=np.int64)
     assert series[101].frame_jitter_ms == pytest.approx(
         float(np.std(gaps_ms)) / 1000.0)
@@ -73,7 +79,7 @@ def test_straddling_gap_belongs_to_later_window():
 
 def test_series_covers_gap_windows():
     frames = [frame(100_000_000), frame(103_500_000)]
-    series = estimate_series(frames)
+    series = series_of(frames)
     assert sorted(series) == [100, 101, 102, 103]
     assert series[101].fps == 0.0
     assert series[101].bitrate_kbps == 0.0
@@ -82,14 +88,13 @@ def test_series_covers_gap_windows():
 
 def test_series_span_extends_coverage():
     frames = [frame(101_000_000)]
-    series = estimate_series(frames, span_us=(99_500_000, 102_200_000))
+    series = series_of(frames, span_us=(99_500_000, 102_200_000))
     assert sorted(series) == [99, 100, 101, 102]
     assert series[99].fps == 0.0 and series[101].fps == 1.0
 
 
 def test_series_empty():
-    assert estimate_series([]) == {}
-    s = estimate_series([], span_us=(100_000_000, 101_000_000))
+    s = series_of([], span_us=(100_000_000, 101_000_000))
     assert sorted(s) == [100, 101]
     assert all(v.fps == 0.0 for v in s.values())
 
@@ -99,17 +104,16 @@ def test_fps_conservation():
     session, _truth, _log = generate(SenderProfile(fps=24.0), 15.0, seed=6)
     session = classify_by_payload_type(session)
     frames = assemble_rtp(session.video_packets())
-    series = estimate_series(frames)
+    series = table_series(frames)
     assert sum(v.fps for v in series.values()) == len(frames)
     total_bits = sum(v.bitrate_kbps * 1000.0 for v in series.values())
-    assert total_bits == pytest.approx(sum(f.size_bytes for f in frames) * 8)
+    assert total_bits == pytest.approx(frames.size_bytes.sum() * 8)
 
 
 def test_series_matches_generator_truth_on_clean_trace():
     session, truth, _log = generate(SenderProfile(fps=25.0), 20.0, seed=8)
     session = classify_by_payload_type(session)
-    frames = assemble_rtp(session.video_packets())
-    series = estimate_series(frames)
+    series = table_series(assemble_rtp(session.video_packets()))
     interior = truth.rows[1:-1]
     for row in interior:
         est = series[row.window_start]
@@ -129,6 +133,8 @@ def test_window_width_must_be_a_positive_integer(w):
         session_windows(session, w)
     with pytest.raises(ValueError, match="window"):
         truth_from_frame_log(log, w=w)
+    with pytest.raises(ValueError, match="window"):
+        analyze_session(session, w=w)
 
 
 def test_two_second_windows_are_unchanged():

@@ -81,7 +81,8 @@ def test_serialize_rejects_extension():
 
 def window_of(times_us):
     """The window key of each time, from window_segments."""
-    keys, lo, hi = window_segments(np.asarray(times_us, dtype=np.int64))
+    times_us = np.asarray(times_us, dtype=np.int64)
+    keys, lo, hi = window_segments(times_us, 1, (times_us[0], times_us[-1]))
     return np.repeat(keys, hi - lo).tolist()
 
 

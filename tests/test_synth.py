@@ -133,6 +133,8 @@ def test_invalid_profiles():
         generate(SenderProfile(), 1.0, seed=0)
     with pytest.raises(InvalidProfile):
         SenderProfile(max_payload=10).validate()
+    with pytest.raises(InvalidProfile):
+        SenderProfile(separable_depth=0).validate()
     with pytest.raises(ValueError):
         ImpairmentProfile(loss_prob=1.5)
 
