@@ -6,6 +6,7 @@ accounting frame bytes, since that portion carries no media.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ class IpUdpAssemblyParams:
     n_max: int = 2
 
     def __post_init__(self):
+        if not isinstance(self.n_max, numbers.Integral):
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         if self.delta_size_max < 0 or self.n_max < 1:
             raise ValueError("delta_size_max >= 0 and n_max >= 1 required")
 

@@ -46,7 +46,7 @@ class SemanticParams:
             raise ValueError("theta_iat_ms and sampling_freq must be positive")
 
 
-FIVE_STATS = (np.mean, np.std, np.median, np.min, np.max)
+FIVE_STATS = ("mean", "std", "median", "min", "max")
 
 
 def _inner_gaps(lo, hi):

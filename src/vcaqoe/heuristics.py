@@ -42,23 +42,34 @@ def segment_sums(values, lo, hi):
 
 
 def segment_stats(values, lo, hi, stats):
-    """Each of stats, numpy reductions taking axis=, over each segment
-    values[lo[i]:hi[i]]: a (len(lo), len(stats)) float64 array, zeros for
-    an empty segment.
+    """Each of stats, names among "mean", "std", "median", "min" and
+    "max", over each segment values[lo[i]:hi[i]]: a (len(lo), len(stats))
+    float64 array, zeros for an empty segment. values is a float64 array,
+    or an integer one when stats are only mean and std.
 
-    Segments of one length are gathered into the rows of a 2-D array and
-    reduced along its rows, which gives the bits of a call on each segment
-    alone.
+    Segments of one length are gathered into the rows of a 2-D array.
+    Mean and std reduce its rows, which gives the bits of np.mean and
+    np.std on each segment alone. Median, min and max are read off the
+    rows sorted once, which gives the bits of np.median, np.min and np.max
+    on finite values, signed zeros aside: of -0.0 and 0.0 the sort may put
+    either first.
     """
     lengths = hi - lo
     out = np.zeros((len(lengths), len(stats)))
     order = np.argsort(lengths, kind="stable")
     groups, first = np.unique(lengths[order], return_index=True)
-    for length, rows in zip(groups.tolist(), np.split(order, first[1:])):
-        if length:
-            block = values[lo[rows, None] + np.arange(length)]
-            for j, stat in enumerate(stats):
-                out[rows, j] = stat(block, axis=1)
+    for n, rows in zip(groups.tolist(), np.split(order, first[1:])):
+        if not n:
+            continue
+        block = values[lo[rows, None] + np.arange(n)]
+        got = {name: getattr(block, name)(axis=1)
+               for name in ("mean", "std") if name in stats}
+        if len(got) < len(stats):
+            block.sort(axis=1)
+            mid = block[:, n // 2]
+            got.update(min=block[:, 0], max=block[:, -1], median=(
+                mid if n % 2 else (block[:, n // 2 - 1] + mid) / 2))
+        out[rows] = np.column_stack([got[name] for name in stats])
     return out
 
 
@@ -102,7 +113,7 @@ def window_series(end_us, size_bytes, w, span_us):
     # gaps[i - 1] is the gap ending at frame i, counted in frame i's window
     timed = np.flatnonzero(counts >= MIN_FRAMES_FOR_JITTER)
     jitter = segment_stats(np.diff(end_us), np.maximum(first[timed], 1) - 1,
-                           stop[timed] - 1, (np.std,))[:, 0] / 1000.0
+                           stop[timed] - 1, ("std",))[:, 0] / 1000.0
     jitter = dict(zip(timed.tolist(), jitter.tolist()))
     return {k: QoeWindow(window_start=k, duration_s=float(w), fps=fps,
                          bitrate_kbps=kbps, frame_jitter_ms=jitter.get(i))

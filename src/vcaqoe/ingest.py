@@ -6,8 +6,10 @@ packet CSV schema, and the per-second ground-truth CSV schema.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import mmap
 import os
 import socket
 import struct
@@ -78,12 +80,32 @@ def read_pcap(path, session_id=None, vca_label=""):
     Non-IPv4 and non-UDP packets, and IPv4 fragments other than the first,
     are skipped and counted on the returned session as ``skipped_count``.
     RTP parsing is attempted on every UDP payload and attached when it
-    succeeds. The walk over the record headers is the only per-packet
-    Python step; the header fields are gathered from the file's bytes as
-    numpy columns.
+    succeeds.
+
+    The file is mapped read-only, not copied into memory: the walk over
+    the record headers, the only per-packet Python step, touches only the
+    pages it reads, and the header fields are gathered from the map as
+    numpy columns that own their memory. The map is closed before the
+    session is returned. A file that cannot be mapped, such as a FIFO
+    that tcpdump writes into, is read whole instead.
+
+    A mapped file is not a snapshot. If it is truncated while it is
+    decoded (tcpdump -w restarted on the same path, a copytruncate
+    rotation), touching a page past its new end raises SIGBUS, which ends
+    the process instead of raising an IngestError.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        try:
+            source = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):   # a FIFO, or an empty file
+            source = contextlib.nullcontext(fh.read())
+    with source as data:
+        return _decode_pcap(data, session_id or os.path.basename(path),
+                            vca_label)
+
+
+def _decode_pcap(data, session_id, vca_label):
+    """The Session of read_pcap from a capture's bytes, in any buffer."""
     if len(data) < 24:
         raise Truncated("pcap global header incomplete")
     magic_le, = struct.unpack_from("<I", data, 0)
@@ -149,10 +171,11 @@ def read_pcap(path, session_id=None, vca_label=""):
         _gather(data, rec + 26, ">u4"), _gather(data, rec + 30, ">u4"),
         _gather(data, udp, ">u2"), _gather(data, udp + 2, ">u2"),
         rtp["ssrc"], rtp["b0"], rtp["header_len"], csrcs)
-    order = np.argsort(arrival_us, kind="stable")
-    sess = Session(session_id or os.path.basename(path), vca_label,
-                   columns=cols.take(order), fields=fields.take(order))
-    sess.skipped_count = len(starts) - len(order)
+    if (arrival_us[1:] < arrival_us[:-1]).any():
+        order = np.argsort(arrival_us, kind="stable")
+        cols, fields = cols.take(order), fields.take(order)
+    sess = Session(session_id, vca_label, columns=cols, fields=fields)
+    sess.skipped_count = len(starts) - len(cols)
     return sess
 
 

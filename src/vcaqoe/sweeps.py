@@ -86,7 +86,8 @@ def window_sweep(window_sizes_s, profile=None, n_sessions=5,
 
 def lookback_sweep(lookbacks, profile=None, n_sessions=5, duration_s=30.0,
                    seed=0, impairment=None):
-    """Frame-rate MAE vs packet-lookback depth on one corpus.
+    """Frame-rate MAE vs packet-lookback depth, each a positive integer,
+    on one corpus.
 
     The default profile mimics a low-rate sender with one packet per frame
     and adjacent-only size separation, where deep lookback wrongly merges
@@ -98,7 +99,7 @@ def lookback_sweep(lookbacks, profile=None, n_sessions=5, duration_s=30.0,
     corpus = _corpus(profile, n_sessions, duration_s, seed, impairment)
 
     def run(n_max):
-        params = IpUdpAssemblyParams(n_max=int(n_max))
+        params = IpUdpAssemblyParams(n_max=n_max)
         return _fps_mae(corpus, params)
 
     return sweep(run, list(lookbacks))

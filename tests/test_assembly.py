@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from vcaqoe.assembly import (IpUdpAssemblyParams, MissingRtp,
@@ -5,6 +6,7 @@ from vcaqoe.assembly import (IpUdpAssemblyParams, MissingRtp,
                              params_for_vca)
 from vcaqoe.classify import classify_by_size
 from vcaqoe.session import RTP_FIXED_HEADER_LEN, PacketRecord, RtpHeader
+from vcaqoe.sweeps import lookback_sweep
 from vcaqoe.synth import SenderProfile, generate
 
 
@@ -158,3 +160,15 @@ def test_vca_lookback_profiles():
     assert params_for_vca("Teams").n_max == 2
     assert params_for_vca("webex").n_max == 1
     assert params_for_vca("").n_max == 2
+
+
+def test_params_require_an_integral_lookback():
+    assert IpUdpAssemblyParams(n_max=np.int64(3)).n_max == 3
+    for n_max in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="n_max"):
+            IpUdpAssemblyParams(n_max=n_max)
+
+
+def test_lookback_sweep_rejects_a_fractional_lookback():
+    with pytest.raises(ValueError, match="n_max"):
+        lookback_sweep([2.5, 2], n_sessions=1, duration_s=4.0)

@@ -294,6 +294,20 @@ def test_config_flag_values(tmp_path):
     assert synth("bad", config="non_separable=maybe\n")[0] == 1
 
 
+def test_config_defaults_do_not_outlive_their_run(tmp_path):
+    def synth(name, *argv):
+        out = tmp_path / name
+        assert run(list(argv) + ["synth", "--duration", "6", "--seed", "3",
+                                 "-o", str(out)]) == 0
+        return [p.read_bytes() for p in sorted(out.iterdir())]
+
+    plain = synth("plain")
+    cfg = tmp_path / "on.cfg"
+    cfg.write_text("non_separable=true\nseed=4\n")
+    assert synth("configured", "--config", str(cfg)) != plain
+    assert synth("plain-again") == plain
+
+
 def test_vca_picks_the_lookback(tmp_path):
     # one packet per frame, sizes separated from the previous frame only:
     # lookback 1 and 3 assemble different frames

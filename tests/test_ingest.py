@@ -1,5 +1,7 @@
+import os
 import struct
-from dataclasses import replace
+import threading
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,13 +17,14 @@ from vcaqoe.synth import SenderProfile, generate
 # --- reference pcap writer, independent of the package's own -------------
 
 def ref_udp_frame(src_ip, dst_ip, sport, dport, payload, flags_frag=0,
-                  macs=b"\xaa" * 12):
+                  macs=b"\xaa" * 12, ip_options=b""):
     eth = macs + struct.pack(">H", 0x0800)
     udp = struct.pack(">HHHH", sport, dport, 8 + len(payload), 0) + payload
-    ip = (struct.pack(">BBHHHBBH", 0x45, 0, 20 + len(udp), 0, flags_frag, 64,
-                      17, 0)
+    ihl = 5 + len(ip_options) // 4
+    ip = (struct.pack(">BBHHHBBH", 0x40 | ihl, 0,
+                      4 * ihl + len(udp), 0, flags_frag, 64, 17, 0)
           + bytes(int(x) for x in src_ip.split("."))
-          + bytes(int(x) for x in dst_ip.split(".")))
+          + bytes(int(x) for x in dst_ip.split(".")) + ip_options)
     return eth + ip + udp
 
 
@@ -32,12 +35,19 @@ def ref_tcp_frame():
     return eth + ip + b"\x00" * 20
 
 
-def write_ref_pcap(path, frames, magic=0xA1B2C3D4):
-    blob = struct.pack("<IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
-    for ts_sec, ts_us, frame in frames:
-        blob += struct.pack("<IIII", ts_sec, ts_us, len(frame), len(frame))
+def ref_pcap_bytes(frames, magic=0xA1B2C3D4, endian="<"):
+    """A capture of (ts_sec, ts_frac, frame) records, the fraction in the
+    unit the magic names."""
+    blob = struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+    for ts_sec, ts_frac, frame in frames:
+        blob += struct.pack(endian + "IIII", ts_sec, ts_frac, len(frame),
+                            len(frame))
         blob += frame
-    path.write_bytes(blob)
+    return blob
+
+
+def write_ref_pcap(path, frames, magic=0xA1B2C3D4, endian="<"):
+    path.write_bytes(ref_pcap_bytes(frames, magic, endian))
 
 
 def test_read_pcap_three_udp(tmp_path):
@@ -124,6 +134,101 @@ def test_read_pcap_attaches_rtp(tmp_path):
     s = read_pcap(str(p))
     assert s.packets[0].rtp is not None
     assert s.packets[0].rtp.payload_type == 102
+
+
+def _three_frames():
+    return [(100 + i, 7_000 * i, ref_udp_frame("10.0.0.1", "10.0.0.2",
+                                               4000 + i, 5000,
+                                               b"\x00" * (50 + i)))
+            for i in range(3)]
+
+
+def test_read_pcap_big_endian(tmp_path):
+    p = tmp_path / "t.pcap"
+    write_ref_pcap(p, _three_frames(), endian=">")
+    s = read_pcap(str(p))
+    assert s.columns.arrival_us.tolist() == [100_000_000, 101_007_000,
+                                             102_014_000]
+    assert s.columns.payload_len.tolist() == [50, 51, 52]
+    assert s.fields.src_port.tolist() == [4000, 4001, 4002]
+
+
+def test_read_pcap_nanosecond_timestamps(tmp_path):
+    p = tmp_path / "t.pcap"
+    frame = ref_udp_frame("10.0.0.1", "10.0.0.2", 1, 2, b"x" * 30)
+    write_ref_pcap(p, [(5, 999_999_999, frame), (6, 1_500, frame)],
+                   magic=0xA1B23C4D)
+    s = read_pcap(str(p))
+    assert s.columns.arrival_us.tolist() == [5_999_999, 6_000_001]
+
+
+def test_read_pcap_ipv4_options(tmp_path):
+    p = tmp_path / "t.pcap"
+    rtp = bytes.fromhex("80e6000700000bb800000001") + b"\x00" * 100
+    frames = [(1, 0, ref_udp_frame("1.1.1.1", "2.2.2.2", 1234, 5678, rtp,
+                                   ip_options=b"\x01" * 4))]
+    write_ref_pcap(p, frames)
+    s = read_pcap(str(p))
+    assert s.fields.src_port.tolist() == [1234]
+    assert s.fields.dst_port.tolist() == [5678]
+    assert s.columns.payload_len.tolist() == [112]
+    assert s.packets[0].rtp.payload_type == 102
+    assert s.packets[0].rtp.marker
+    assert s.packets[0].rtp.sequence == 7
+    assert s.packets[0].rtp.timestamp == 3000
+
+
+@pytest.mark.parametrize("size", [0, 23])
+def test_read_pcap_short_file_is_truncated(tmp_path, size):
+    p = tmp_path / "t.pcap"
+    p.write_bytes(ref_pcap_bytes([])[:size])
+    with pytest.raises(Truncated):
+        read_pcap(str(p))
+
+
+def test_read_pcap_skips_snap_truncated_last_record(tmp_path):
+    p = tmp_path / "t.pcap"
+    frame = ref_udp_frame("1.1.1.1", "2.2.2.2", 1, 2, b"x" * 30)
+    blob = ref_pcap_bytes([(1, 0, frame)])
+    blob += struct.pack("<IIII", 1, 5, 30, len(frame)) + frame[:30]
+    p.write_bytes(blob)
+    s = read_pcap(str(p))
+    assert s.fields.src_port.tolist() == [1]
+    assert s.skipped_count == 1
+
+
+def test_read_pcap_reads_a_fifo(tmp_path):
+    p = tmp_path / "cap.pcap"
+    os.mkfifo(p)
+    blob = ref_pcap_bytes(_three_frames())
+
+    def feed():
+        with open(p, "wb") as fh:
+            fh.write(blob)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    s = read_pcap(str(p))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert s.columns.payload_len.tolist() == [50, 51, 52]
+    assert s.session_id == "cap.pcap"
+
+
+@pytest.mark.parametrize("last_second", [2, 200], ids=["unsorted", "sorted"])
+def test_read_pcap_returns_arrays_that_own_their_memory(tmp_path,
+                                                        last_second):
+    p = tmp_path / "t.pcap"
+    rtp = bytes.fromhex("81660001000000c800000001") + b"\x00" * 40
+    write_ref_pcap(p, _three_frames() + [
+        (last_second, 0, ref_udp_frame("1.1.1.1", "2.2.2.2", 1, 2, rtp))])
+    s = read_pcap(str(p))
+    for rows in (s.columns, s.fields):
+        for f in fields(rows):
+            base = getattr(rows, f.name)
+            while base is not None:
+                assert isinstance(base, np.ndarray), f.name
+                base = base.base
 
 
 def test_write_pcap_keeps_csrcs_and_padding(tmp_path):

@@ -21,7 +21,7 @@ from vcaqoe.features import (RTP_FEATURE_NAMES, SemanticParams,
                              session_feature_rows)
 from vcaqoe.forest import (RandomForestClassifier, RandomForestRegressor,
                            _best_splits, _column_ranks)
-from vcaqoe.heuristics import window_series
+from vcaqoe.heuristics import segment_stats, window_series
 from vcaqoe.ingest import (read_packet_csv, read_pcap, write_packet_csv,
                            write_pcap)
 from vcaqoe.pipeline import analyze_session
@@ -180,6 +180,35 @@ def test_readers_decode_the_written_packets(profile, impairment, seed, rtp):
                 assert np.array_equal(getattr(back.columns, f.name),
                                       getattr(expected, f.name)), f.name
             assert back.packets == session.packets
+
+
+# --- segment statistics -----------------------------------------------------
+
+STAT_CALLS = {"mean": np.mean, "std": np.std, "median": np.median,
+              "min": np.min, "max": np.max}
+
+
+# x + 0.0 turns -0.0 into 0.0: the sorted read-off of min, max and median
+# may give either zero where numpy's reductions give the other
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6).map(lambda x: x + 0.0), max_size=40),
+       st.lists(st.tuples(st.integers(0, 40), st.integers(0, 9)),
+                max_size=12))
+# an empty, a length-1, an odd and an even segment
+@example([3.0, 1.0, 4.0, 1.5, 9.0], [(0, 0), (2, 1), (0, 3), (1, 4)])
+def test_segment_stats_bits_match_per_segment_reductions(values, segments):
+    values = np.array(values, dtype=np.float64)
+    lo = np.array([min(a, len(values)) for a, _ in segments], dtype=np.int64)
+    hi = np.minimum(lo + [n for _, n in segments], len(values))
+    for stats, column in ((tuple(STAT_CALLS), values),
+                          (("median", "std"), values),
+                          (("std",), np.round(values).astype(np.int64))):
+        expected = np.array(
+            [[STAT_CALLS[name](column[a:b]) if b > a else 0.0
+              for name in stats] for a, b in zip(lo.tolist(), hi.tolist())],
+            dtype=np.float64).reshape(len(lo), len(stats))
+        got = segment_stats(column, lo, hi, stats)
+        assert got.tobytes() == expected.tobytes(), stats
 
 
 # --- feature rows, one packet at a time ------------------------------------
