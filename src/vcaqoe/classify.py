@@ -90,14 +90,20 @@ def load_payload_type_map(path, vca=None):
     to one VCA profile."""
     mapping = {}
     with open(path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            name, pt, cls = (c.strip() for c in line.split(","))
-            if vca is not None and name != vca:
-                continue
-            mapping[int(pt)] = MediaClass(cls)
+            try:
+                name, pt, cls = (c.strip() for c in line.split(","))
+                pt, cls = int(pt), MediaClass(cls)
+            except ValueError:
+                raise ClassifyError(
+                    f"{path}: line {line_no}: {line!r} is not vca,pt,class "
+                    "with an integer pt and a class of "
+                    f"{', '.join(c.value for c in MediaClass)}") from None
+            if vca is None or name == vca:
+                mapping[pt] = cls
     return PayloadTypeMap(mapping)
 
 

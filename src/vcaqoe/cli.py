@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import glob
 import json
 import os
@@ -23,24 +22,29 @@ from .features import IPUDP_FEATURE_NAMES, RTP_FEATURE_NAMES, SemanticParams, \
 from .forest import (ForestError, RandomForestClassifier,
                      RandomForestRegressor, load_forest, save_forest)
 from .heuristics import session_windows, whole_seconds
-from .ingest import (IngestError, _atomic_write_bytes, _atomic_write_csv,
-                     read_ground_truth_csv, read_packet_csv, read_pcap,
-                     truth_cells, write_ground_truth_csv, write_packet_csv)
+from .ingest import (TRUTH_CSV_HEADER, BadHeader, BadRow, IngestError,
+                     _atomic_write_bytes, _atomic_write_csv, csv_row,
+                     read_csv_header, read_csv_rows, read_ground_truth_csv,
+                     read_packet_csv, read_pcap, truth_cells,
+                     write_ground_truth_csv, write_packet_csv)
 from .pipeline import analyze_session
-from .session import NO_RTP, QoeWindow, RtpError
-from .synth import (ImpairmentProfile, InvalidProfile, SenderProfile,
-                    generate, impair, write_frame_log_csv)
-from .validation import DimensionMismatch, NonFiniteInput
+from .session import NO_RTP, QoeWindow
+from .synth import (ImpairmentProfile, SenderProfile, generate, impair,
+                    write_frame_log_csv)
 from . import sweeps
 
-INPUT_ERRORS = (IngestError, ClassifyError, EvalError, ForestError,
-                InvalidProfile, RtpError, MissingRtp, DimensionMismatch,
-                NonFiniteInput, FileNotFoundError, NotADirectoryError,
-                ValueError, argparse.ArgumentTypeError)
+# ValueError covers IngestError, InvalidProfile, RtpError,
+# DimensionMismatch and NonFiniteInput
+INPUT_ERRORS = (ValueError, ClassifyError, EvalError, ForestError,
+                MissingRtp, argparse.ArgumentTypeError, FileNotFoundError,
+                IsADirectoryError, NotADirectoryError, PermissionError)
 
 TARGET_COLUMNS = {"fps": "fps", "bitrate": "bitrate_kbps",
                   "jitter": "frame_jitter_ms", "resolution": "frame_height"}
-PREDICTION_HEADER = ["session_id", "window_start", "prediction"]
+PREDICTION_DTYPE = np.dtype([("session_id", object),
+                             ("window_start", np.int64),
+                             ("prediction", object)])
+PREDICTION_HEADER = list(PREDICTION_DTYPE.names)
 
 
 def _read_session(path, vca="", rtp=False):
@@ -156,8 +160,7 @@ def cmd_features(args):
     names = (IPUDP_FEATURE_NAMES if args.set == "ipudp"
              else RTP_FEATURE_NAMES)
     params = SemanticParams(theta_iat_ms=args.theta_iat)
-    header = ["session_id", "window_start"] + names + [
-        "fps", "bitrate_kbps", "frame_jitter_ms", "frame_height"]
+    header = ["session_id", "window_start"] + names + TRUTH_CSV_HEADER[1:]
     rows = []
     for pk_path, truth_path in _session_truth_pairs(args.inputs, args.truth):
         session = _read_session(pk_path, args.vca, args.set == "rtp")
@@ -184,47 +187,28 @@ def _read_feature_csv(path):
     """Keys, feature names, feature matrix and truth columns of a feature
     CSV. A feature cell must be a finite number; a truth cell may also be
     nan, which marks missing truth."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        data, lines = [], []
-        for row in filter(None, reader):
-            if len(row) != len(header):
-                raise IngestError(f"{path}: line {reader.line_num} has "
-                                  f"{len(row)} fields, header has "
-                                  f"{len(header)}")
-            data.append(row)
-            lines.append(reader.line_num)
-    if header[:2] != ["session_id", "window_start"]:
-        raise IngestError(f"{path}: not a feature CSV (missing key columns)")
-    truth_cols = ["fps", "bitrate_kbps", "frame_jitter_ms", "frame_height"]
-    names = header[2:]
-    n_truth = 4 if names[-4:] == truth_cols else 0
-    if n_truth:
-        names = names[:-4]
-    sessions = [r[0] for r in data]
-    windows = []
-    for r, line in zip(data, lines):
-        try:
-            windows.append(int(r[1]))
-        except ValueError:
-            raise IngestError(f"{path}: line {line}, column window_start: "
-                              f"{r[1]!r} is not an integer") from None
-    try:
-        values = np.array([r[2:] for r in data], dtype=np.float64)
-    except ValueError:      # a cell that is not a number reads as inf
-        values = np.array([[float(v) if _is_number(v) else np.inf
-                            for v in r[2:]] for r in data])
-    values = values.reshape(len(data), len(header) - 2)
+    header = ["session_id", "window_start"] + read_csv_header(path)[2:]
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise BadHeader(path, 1, "repeated column name", repeated[0])
+    rows = read_csv_rows(path, np.dtype({"names": header, "formats": [
+        object, np.int64] + [np.float64] * (len(header) - 2)}))
+    truth_cols = header[-4:] if header[-4:] == TRUTH_CSV_HEADER[1:] else []
+    names = header[2:len(header) - len(truth_cols)]
+    values = np.empty((len(rows), len(header) - 2))
+    for j, name in enumerate(header[2:]):
+        values[:, j] = rows[name]
     bad = ~np.isfinite(values)
     bad[:, len(names):] &= ~np.isnan(values[:, len(names):])
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise IngestError(f"{path}: line {lines[i]}, column {header[2 + j]}: "
-                          f"{data[i][2 + j]!r} is not a finite number")
+        line_no, cells = csv_row(path, i)
+        raise BadRow(path, line_no, f"{cells[2 + j]!r} is not a finite "
+                     "number", header[2 + j])
     X = np.ascontiguousarray(values[:, :len(names)])
-    truth = dict(zip(truth_cols[:n_truth], values[:, len(names):].T))
-    return sessions, windows, names, X, truth
+    truth = dict(zip(truth_cols, values[:, len(names):].T))
+    return (rows["session_id"].tolist(), rows["window_start"].tolist(),
+            names, X, truth)
 
 
 # ----------------------------------------------------------------- train
@@ -272,22 +256,16 @@ def cmd_predict(args):
 
 def _read_series_csv(path, metric_col, session_id):
     """{window_start: value} of one session, from a truth-schema CSV or from
-    the session's rows of a prediction CSV (values kept as strings).
+    the session's rows of a prediction CSV (values kept as strings), told
+    apart by the first column name.
 
     A prediction row belongs to the session when its session_id, less a
     ".pcap" suffix (read_pcap names a session after its file), is
     session_id."""
-    with open(path, newline="") as fh:
-        header = fh.readline().strip().split(",")
-    if header == PREDICTION_HEADER:
-        out = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                if row and row[0].removesuffix(".pcap") == session_id:
-                    out[int(row[1])] = row[2]
-        return out
+    if read_csv_header(path)[:1] == PREDICTION_HEADER[:1]:
+        rows = read_csv_rows(path, PREDICTION_DTYPE).tolist()
+        return {w: p for s, w, p in rows
+                if s.removesuffix(".pcap") == session_id}
     truth = read_ground_truth_csv(path)
     return {r.window_start: getattr(r, metric_col) for r in truth.rows}
 
@@ -477,38 +455,28 @@ def build_parser():
     return parser
 
 
-def _apply_config(parser, argv):
-    """key=value config file supplies defaults; explicit flags win."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise ValueError("--config needs a file path")
-    path = argv[i + 1]
-    defaults = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            defaults[key.strip().replace("-", "_")] = value.strip()
-    argv = argv[:i] + argv[i + 2:]
+def _parse(parser, argv):
+    """Parsed arguments; a --config key=value file supplies defaults for
+    the subcommand's options, and explicit flags win."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    with open(args.config) as fh:
+        pairs = [line.partition("=") for line in map(str.strip, fh)
+                 if line and not line.startswith("#")]
+    defaults = {key.strip().replace("-", "_"): value.strip()
+                for key, _, value in pairs}
     commands = parser._subparsers._group_actions[0].choices
     known = {a.dest for p in commands.values() for a in p._actions}
     for key in defaults:
         if key not in known:
             raise ValueError(f"config key {key!r} is not an option of any "
                              "subcommand")
-    command = next((a for a in argv if a in commands), None)
-    if command is None:
-        return argv
-    actions = {a.dest: a for a in commands[command]._actions}
-    for key, value in defaults.items():
-        if key in actions:
-            commands[command].set_defaults(
-                **{key: _config_value(actions[key], value)})
-    return argv
+    actions = {a.dest: a for a in commands[args.command]._actions}
+    commands[args.command].set_defaults(**{
+        key: _config_value(actions[key], value)
+        for key, value in defaults.items() if key in actions})
+    return parser.parse_args(argv)
 
 
 def _config_value(action, value):
@@ -531,8 +499,7 @@ def run(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
         return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -152,21 +152,13 @@ class EvalReport:
 
 def evaluate_metric(pred, truth, metric, tolerances=()):
     p, t = _paired(pred, truth)
-    if len(p) == 0:
-        raise EmptyAfterExclusion("no valid pairs")
-    residuals = (p - t).tolist()
-    report = EvalReport(
-        metric=metric,
-        mae=float(np.mean(np.abs(p - t))),
-        n_pairs=len(p),
-        n_excluded=len(pred) - len(p),
-        residuals=residuals)
-    keep = t > 0
-    if keep.any():
-        report.mrae = float(np.mean(np.abs(p[keep] - t[keep]) / t[keep]))
-    for tol in tolerances:
-        report.within_tolerance[str(tol)] = float(
-            np.mean(np.abs(p - t) <= tol))
+    report = EvalReport(metric=metric, mae=mae(p, t), n_pairs=len(p),
+                        n_excluded=len(pred) - len(p),
+                        residuals=(p - t).tolist())
+    if (t > 0).any():
+        report.mrae, _excluded = mrae(p, t)
+    report.within_tolerance = {str(tol): within_tolerance(p, t, tol)
+                               for tol in tolerances}
     return report
 
 

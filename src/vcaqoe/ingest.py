@@ -1,13 +1,15 @@
 """Trace and ground-truth readers and writers.
 
 Supported inputs: classic pcap (Ethernet link type, IPv4/UDP only), the
-packet CSV schema, and the per-second ground-truth CSV schema.
+packet CSV schema, and the per-second ground-truth CSV schema. Every CSV
+input of the package is parsed by read_csv_rows.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import mmap
 import os
@@ -23,18 +25,23 @@ from .session import (MICROS_PER_S, NO_CLASS, NO_RTP, RTP_FIXED_HEADER_LEN,
                       PacketColumns, QoeWindow, RecordFields, Session,
                       _addresses)
 
-PACKET_CSV_HEADER = ["ts_us", "src_ip", "dst_ip", "src_port", "dst_port",
-                     "udp_payload_len", "rtp_pt", "rtp_seq", "rtp_ts",
-                     "rtp_marker", "rtp_ssrc"]
-TRUTH_CSV_HEADER = ["t_sec", "fps", "bitrate_kbps", "frame_jitter_ms",
-                    "frame_height"]
+PACKET_ROW_DTYPE = np.dtype(
+    [("ts_us", np.int64), ("src_ip", object), ("dst_ip", object)]
+    + [(name, np.int64) for name in (
+        "src_port", "dst_port", "udp_payload_len", "rtp_pt", "rtp_seq",
+        "rtp_ts", "rtp_marker", "rtp_ssrc")])
+TRUTH_ROW_DTYPE = np.dtype([
+    ("t_sec", np.int64), ("fps", np.float64), ("bitrate_kbps", np.float64),
+    ("frame_jitter_ms", np.float64), ("frame_height", np.int64)])
+PACKET_CSV_HEADER = list(PACKET_ROW_DTYPE.names)
+TRUTH_CSV_HEADER = list(TRUTH_ROW_DTYPE.names)
 
 PCAP_MAGIC_US = 0xA1B2C3D4
 PCAP_MAGIC_NS = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
 
 
-class IngestError(Exception):
+class IngestError(ValueError):
     pass
 
 
@@ -54,14 +61,18 @@ class Empty(IngestError):
     pass
 
 
-class BadHeader(IngestError):
-    pass
-
-
 class BadRow(IngestError):
-    def __init__(self, line_no, msg):
-        super().__init__(f"line {line_no}: {msg}")
+    """A line of a CSV input that does not parse, named by file, 1-based
+    line (blank lines counted) and, when one is at fault, column."""
+
+    def __init__(self, path, line_no, msg, column=None):
+        at = "" if column is None else f", column {column}"
+        super().__init__(f"{path}: line {line_no}{at}: {msg}")
         self.line_no = line_no
+
+
+class BadHeader(BadRow):
+    pass
 
 
 class DuplicateSecond(IngestError):
@@ -326,22 +337,10 @@ def _scatter(out, offsets, values):
 
 def read_packet_csv(path, session_id=None, vca_label=""):
     """Read the packet CSV schema into a Session. RTP columns use -1 for
-    absent.
-
-    All rows are parsed in one numpy call; the file is scanned row by row
-    only to find the line of a row that does not parse.
-    """
-    with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]), None)
-        if header != PACKET_CSV_HEADER:
-            raise BadHeader(f"expected {','.join(PACKET_CSV_HEADER)}")
-        try:
-            rows = _load_packet_rows(fh)
-        except ValueError:
-            line_no, msg = _first_bad_row(path)
-            raise BadRow(line_no, msg) from None
+    absent."""
+    rows = read_csv_rows(path, PACKET_ROW_DTYPE)
     if not len(rows):
-        raise Empty("no packet rows")
+        raise Empty(f"{path}: no packet rows")
     rows = rows[np.argsort(rows["ts_us"], kind="stable")]
     has_rtp = rows["rtp_pt"] >= 0
 
@@ -365,33 +364,92 @@ def read_packet_csv(path, session_id=None, vca_label=""):
     return Session(session_id, vca_label, columns=cols, fields=fields)
 
 
-PACKET_ROW_DTYPE = np.dtype([(name, object if name.endswith("_ip")
-                              else np.int64)
-                             for name in PACKET_CSV_HEADER])
-
-
-def _load_packet_rows(lines):
-    """Packet CSV rows (no header) as a PACKET_ROW_DTYPE array; blank lines
-    are skipped. Raises ValueError on a row that does not parse."""
-    with warnings.catch_warnings():
-        # a file without rows is reported by the caller
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(lines, dtype=PACKET_ROW_DTYPE, delimiter=",",
-                          comments=None, quotechar='"', ndmin=1)
-
-
-def _first_bad_row(path):
-    """(1-based line, message) of the first packet CSV row that does not
-    parse."""
+def read_csv_header(path):
+    """The cells of a CSV file's first line."""
     with open(path, newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line_no == 1:
-                continue
+        return next(csv.reader([fh.readline()]), [])
+
+
+def read_csv_rows(path, dtype):
+    """The rows of a CSV file as a 1-D array of the structured dtype, whose
+    field names the file's first line must list, in order.
+
+    Blank lines are skipped; every other line must hold one cell per field:
+    an integer for an integer field, a number (nan and inf included) for a
+    float field, any text for an object field. Cells may be quoted with ".
+    All rows are parsed in one numpy call. Only when that fails is the file
+    scanned line by line, to raise a BadRow that names the first line that
+    does not parse and the column at fault.
+    """
+    names = list(dtype.names)
+    with open(path, newline="") as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        if header != names:
+            j = next(j for j in range(len(header) + 1)
+                     if header[j:j + 1] != names[j:j + 1])
+            raise BadHeader(path, 1, f"header must be {','.join(names)}",
+                            names[j] if j < len(names) else j + 1)
+        try:
+            return _parse_rows(fh, dtype)
+        except ValueError:
+            pass
+    with open(path, newline="") as fh:
+        for line_no, line in _data_lines(fh):
             try:
-                _load_packet_rows([line])
+                _parse_rows([line], dtype)
             except ValueError as exc:
-                return line_no, str(exc)
-    return line_no, "unparsable rows"
+                raise _row_fault(path, line_no, line, dtype, exc) from None
+    raise IngestError(f"{path}: rows do not parse")
+
+
+def _parse_rows(lines, dtype):
+    """CSV lines (no header) as an array of dtype; blank lines are skipped.
+    Raises ValueError on a line that does not parse."""
+    with warnings.catch_warnings():
+        # a file without rows is an empty array
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          quotechar='"', ndmin=1)
+
+
+def _data_lines(fh):
+    """(1-based line number, line) of each non-blank line below the header
+    of an open CSV file, the rows _parse_rows reads."""
+    fh.readline()
+    return ((line_no, line) for line_no, line in enumerate(fh, start=2)
+            if line.strip("\r\n"))
+
+
+def _row_fault(path, line_no, line, dtype, exc):
+    """The BadRow of a line that does not parse as a row of dtype."""
+    names = dtype.names
+    cells = next(csv.reader([line]))
+    if len(cells) != len(names):    # name the first missing or extra cell
+        column = (names[len(cells)] if len(cells) < len(names)
+                  else len(names) + 1)
+        return BadRow(path, line_no, f"{len(cells)} fields, header has "
+                      f"{len(names)}", column)
+    for name, cell in zip(names, cells):
+        kind = dtype[name].kind
+        if kind != "O" and not _parses(cell, dtype[name]):
+            return BadRow(path, line_no, f"{cell!r} is not " + (
+                "an integer" if kind in "iu" else "a number"), name)
+    return BadRow(path, line_no, str(exc))
+
+
+def _parses(cell, dtype):
+    try:
+        return len(_parse_rows([cell], dtype)) == 1
+    except ValueError:
+        return False
+
+
+def csv_row(path, i):
+    """(1-based line number, cells) of row i of a CSV file, rows counted
+    from 0 below the header as read_csv_rows counts them."""
+    with open(path, newline="") as fh:
+        line_no, line = next(itertools.islice(_data_lines(fh), i, None))
+    return line_no, next(csv.reader([line]))
 
 
 def write_packet_csv(session, path):
@@ -414,34 +472,17 @@ def write_packet_csv(session, path):
 def read_ground_truth_csv(path, session_id=None):
     """Read the per-second QoE ground-truth CSV. frame_height=-1 means
     unknown; nan for any missing float metric."""
-    rows = []
-    seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRUTH_CSV_HEADER:
-            raise BadHeader(f"expected {','.join(TRUTH_CSV_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                t_sec = int(row[0])
-                fps, br, jit = (float(row[1]), float(row[2]), float(row[3]))
-                height = int(row[4])
-            except (ValueError, IndexError) as exc:
-                raise BadRow(line_no, str(exc)) from exc
-            if t_sec in seen:
-                raise DuplicateSecond(f"t_sec={t_sec} repeated")
-            seen.add(t_sec)
-            rows.append(QoeWindow(
-                window_start=t_sec,
-                fps=None if math.isnan(fps) else fps,
-                bitrate_kbps=None if math.isnan(br) else br,
-                frame_jitter_ms=None if math.isnan(jit) else jit,
-                frame_height=None if height < 0 else height))
-    rows.sort(key=lambda r: r.window_start)
+    rows = read_csv_rows(path, TRUTH_ROW_DTYPE)
+    rows = rows[np.argsort(rows["t_sec"], kind="stable")]
+    repeated = rows["t_sec"][1:][np.diff(rows["t_sec"]) == 0]
+    if len(repeated):
+        raise DuplicateSecond(f"{path}: t_sec={repeated[0]} repeated")
+    windows = [QoeWindow(t, 1.0, *(None if math.isnan(v) else v
+                                   for v in (fps, br, jit)),
+                         None if height < 0 else height)
+               for t, fps, br, jit, height in rows.tolist()]
     sid = session_id or os.path.splitext(os.path.basename(path))[0]
-    return GroundTruthSeries(sid, rows)
+    return GroundTruthSeries(sid, windows)
 
 
 def truth_cells(row):

@@ -18,12 +18,13 @@ import numpy as np
 
 from .classify import PayloadTypeMap
 from .heuristics import whole_seconds, window_series
-from .ingest import GroundTruthSeries, _atomic_write_csv
+from .ingest import GroundTruthSeries, _atomic_write_csv, read_csv_rows
 from .session import (MEDIA_CODE, MICROS_PER_S, NO_CLASS, RTP_FIXED_HEADER_LEN,
                       MediaClass, PacketColumns, RecordFields, Session)
 
-FRAME_LOG_HEADER = ["frame_id", "emit_us", "complete_us", "media_bytes",
-                    "rtp_ts"]
+FRAME_LOG_DTYPE = np.dtype([(name, np.int64) for name in (
+    "frame_id", "emit_us", "complete_us", "media_bytes", "rtp_ts")])
+FRAME_LOG_HEADER = list(FRAME_LOG_DTYPE.names)
 
 # Minimum media bytes per packet keeps every video payload >= 564 bytes.
 MIN_PACKET_MEDIA = 552
@@ -271,14 +272,5 @@ def write_frame_log_csv(frame_log, path):
 
 
 def read_frame_log_csv(path):
-    import csv
-    entries = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FRAME_LOG_HEADER:
-            raise ValueError(f"expected {','.join(FRAME_LOG_HEADER)}")
-        for row in reader:
-            if row:
-                entries.append(FrameLogEntry(*(int(c) for c in row)))
-    return entries
+    return [FrameLogEntry(*row)
+            for row in read_csv_rows(path, FRAME_LOG_DTYPE).tolist()]

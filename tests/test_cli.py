@@ -570,3 +570,126 @@ def test_synth_bad_counts_are_input_errors(tmp_path, flags):
     out = tmp_path / "corpus"
     assert run(["synth", *flags, "--duration", "3", "-o", str(out)]) == 1
     assert not out.exists() or not os.listdir(out)
+
+
+# (file in the corpus or made from fps_model, numeric column, the argv
+# that reads it); no subcommand reads a frame log, so its reader is called
+CSV_KINDS = {
+    "packets": ("synth-100.packets.csv", "udp_payload_len",
+                lambda bad, c, f: ["analyze", bad, "-o", "out.csv"]),
+    "truth": ("synth-100.truth.csv", "fps",
+              lambda bad, c, f: ["features", str(c / "synth-100.packets.csv"),
+                                 "--truth", bad, "-o", "out.csv"]),
+    "features": ("features.csv", "window_start",
+                 lambda bad, c, f: ["train", bad, "--target", "fps",
+                                    "-o", "out.json"]),
+    "predictions": ("preds.csv", "window_start",
+                    lambda bad, c, f: ["evaluate", bad,
+                                       str(c / "synth-100.truth.csv")]),
+    "frame_log": ("synth-100.frames.csv", "media_bytes", None),
+}
+
+
+@pytest.mark.parametrize("fault", ["short_row", "bad_cell", "bad_header"])
+@pytest.mark.parametrize("kind", sorted(CSV_KINDS))
+def test_malformed_csv_inputs_name_file_line_and_column(
+        tmp_path, corpus, fps_model, capsys, monkeypatch, kind, fault):
+    from vcaqoe.ingest import IngestError
+    from vcaqoe.synth import read_frame_log_csv
+    feats, model = fps_model
+    preds = tmp_path / "preds.csv"
+    assert run(["predict", str(model), str(feats), "-o", str(preds)]) == 0
+    name, column, argv = CSV_KINDS[kind]
+    source = {"features.csv": feats, "preds.csv": preds}.get(
+        name, corpus / name)
+    lines = source.read_text().splitlines()
+    header = lines[0].split(",")
+    if fault == "short_row":
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        line, column = 4, header[-1]
+    else:
+        line = 1 if fault == "bad_header" else 4
+        cells = lines[line - 1].split(",")
+        cells[header.index(column)] = "x1"
+        lines[line - 1] = ",".join(cells)
+    bad = tmp_path / f"bad-{name}"
+    bad.write_text("\n".join(lines) + "\n")
+    monkeypatch.chdir(tmp_path)
+    if argv is None:
+        with pytest.raises(IngestError) as exc:
+            read_frame_log_csv(str(bad))
+        err = str(exc.value)
+    else:
+        assert run(argv(str(bad), corpus, feats)) == 1
+        err = capsys.readouterr().err
+        assert not any(p.startswith("out.") for p in os.listdir(tmp_path))
+    assert f"{bad}: line {line}, column {column}:" in err
+
+
+def test_directory_paths_are_input_errors(tmp_path, corpus, capsys):
+    folder = tmp_path / "d.pcap"
+    folder.mkdir()
+    assert run(["analyze", str(folder), "-o", str(tmp_path / "x.csv")]) == 1
+    assert str(folder) in capsys.readouterr().err
+    assert run(["analyze", str(corpus / "synth-100.packets.csv"),
+                "-o", str(folder)]) == 1
+    assert str(folder) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", [
+    ["--config", "{}"], ["--config={}"], ["--conf", "{}"], ["--c={}"]])
+def test_config_is_read_in_every_spelling(tmp_path, corpus, capsys,
+                                          spelling):
+    packets = str(corpus / "synth-100.packets.csv")
+    bad, good = tmp_path / "bad.cfg", tmp_path / "good.cfg"
+    bad.write_text("lookbak=3\n")
+    good.write_text("window=2\n")
+
+    def analyze(cfg, out, *flags):
+        config = [word.format(cfg) for word in spelling] if cfg else []
+        return run([*config, "analyze", packets, *flags, "-o", str(out)])
+
+    assert analyze(bad, tmp_path / "bad.csv") == 1
+    assert "lookbak" in capsys.readouterr().err
+    assert analyze(good, tmp_path / "configured.csv") == 0
+    assert analyze(None, tmp_path / "flagged.csv", "--window", "2") == 0
+    assert ((tmp_path / "configured.csv").read_bytes()
+            == (tmp_path / "flagged.csv").read_bytes())
+
+
+@pytest.mark.parametrize("line", ["teams,100", "teams,abc,video",
+                                  "teams,100,vid"])
+def test_malformed_profile_line_is_named(tmp_path, corpus, capsys, line):
+    profiles = tmp_path / "profiles.csv"
+    profiles.write_text(f"# vca,pt,class\n{line}\nteams,101,video_retx\n")
+    assert run(["classify", str(corpus / "synth-100.packets.csv"),
+                "--profiles", str(profiles), "--vca", "teams",
+                "-o", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert f"{profiles}: line 2:" in err and repr(line) in err
+
+
+def test_non_finite_feature_cell_counts_blank_lines(tmp_path, fps_model,
+                                                    capsys):
+    feats, _model = fps_model
+    lines = feats.read_text().splitlines()
+    row = lines[3].split(",")
+    row[lines[0].split(",").index("size_mean")] = "inf"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:2] + ["", lines[2], ",".join(row)]
+                             + lines[4:]) + "\n")
+    assert run(["train", str(bad), "--target", "fps",
+                "-o", str(tmp_path / "m.json")]) == 1
+    assert f"{bad}: line 5, column size_mean: 'inf'" in capsys.readouterr().err
+
+
+def test_repeated_feature_column_is_named(tmp_path, fps_model, capsys):
+    feats, _model = fps_model
+    lines = feats.read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([lines[0].replace("size_mean", "size_std")]
+                             + lines[1:]) + "\n")
+    assert run(["train", str(bad), "--target", "fps",
+                "-o", str(tmp_path / "m.json")]) == 1
+    assert (f"{bad}: line 1, column size_std: repeated"
+            in capsys.readouterr().err)

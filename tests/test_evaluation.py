@@ -123,3 +123,10 @@ def test_sweep_shape_and_order():
 def test_mrae_value_is_relative():
     value, _ = mrae([220.0], [200.0])
     assert math.isclose(value, 0.1)
+
+
+def test_evaluate_metric_has_no_mrae_when_all_truth_is_zero():
+    r = evaluate_metric([1.0, 2.0], [0.0, 0.0], "fps", tolerances=(1.0,))
+    assert r.mrae is None
+    assert r.mae == pytest.approx(1.5)
+    assert r.within_tolerance == {"1.0": 0.5}
