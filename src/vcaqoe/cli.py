@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import json
 import os
@@ -381,7 +382,6 @@ def build_parser():
     p.add_argument("--base-delay", type=float, default=0.0)
     p.add_argument("--retransmit", action="store_true")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("classify", help="media classification report")
     p.add_argument("input")
@@ -390,7 +390,6 @@ def build_parser():
     p.add_argument("--fit-vmin", action="store_true")
     p.add_argument("--profiles", help="payload-type profile CSV")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("analyze", help="heuristic per-window estimates")
     p.add_argument("input")
@@ -402,7 +401,6 @@ def build_parser():
     p.add_argument("--window", type=_positive_int, default=1)
     p.add_argument("--vca", default="")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("features", help="emit per-window feature CSV")
     p.add_argument("inputs", nargs="+",
@@ -414,7 +412,6 @@ def build_parser():
     p.add_argument("--truth", help="truth CSV for single-file input")
     p.add_argument("--vca", default="")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", help="fit a random forest on a feature CSV")
     p.add_argument("data")
@@ -425,13 +422,11 @@ def build_parser():
     p.add_argument("--min-leaf", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="apply a trained model")
     p.add_argument("model")
     p.add_argument("data", help="feature CSV")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="error report from predictions+truth")
     p.add_argument("pred")
@@ -440,7 +435,6 @@ def build_parser():
                    default="fps")
     p.add_argument("--tol", type=float, action="append", default=[])
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="sensitivity sweep on synthetic corpora")
     p.add_argument("--axis", choices=["window", "loss", "jitter", "lookback"],
@@ -451,56 +445,71 @@ def build_parser():
     p.add_argument("--n-seeds", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
-def _parse(parser, argv):
+_shared_parser = functools.cache(build_parser)   # never changed
+
+
+def _parse(argv):
     """Parsed arguments; a --config key=value file supplies defaults for
-    the subcommand's options, and explicit flags win."""
-    args = parser.parse_args(argv)
+    the subcommand's options, and explicit flags win. The defaults go on
+    a parser built for this call, so they never reach another run."""
+    args = _shared_parser().parse_args(argv)
     if args.config is None:
         return args
     with open(args.config) as fh:
-        pairs = [line.partition("=") for line in map(str.strip, fh)
+        lines = [(n, line) for n, line in enumerate(map(str.strip, fh), 1)
                  if line and not line.startswith("#")]
-    defaults = {key.strip().replace("-", "_"): value.strip()
-                for key, _, value in pairs}
+    parser = build_parser()
     commands = parser._subparsers._group_actions[0].choices
     known = {a.dest for p in commands.values() for a in p._actions}
-    for key in defaults:
-        if key not in known:
-            raise ValueError(f"config key {key!r} is not an option of any "
-                             "subcommand")
     actions = {a.dest: a for a in commands[args.command]._actions}
-    commands[args.command].set_defaults(**{
-        key: _config_value(actions[key], value)
-        for key, value in defaults.items() if key in actions})
+    defaults = {}
+    for n, line in lines:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        key = key.replace("-", "_")
+        at = f"{args.config}: line {n}: {line}: "
+        if not eq:
+            raise ValueError(at + "not a key=value line")
+        if key not in known:
+            raise ValueError(at + "not an option of any subcommand")
+        if key in actions:
+            try:
+                defaults[key] = _config_value(actions[key], value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(at + str(exc)) from None
+    commands[args.command].set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
 def _config_value(action, value):
-    """A config file's value for one option, converted as its flag would
-    be; an append option takes a comma-separated list."""
+    """A config file's value for one option, converted and checked against
+    its choices as its flag would be; an append option takes a
+    comma-separated list."""
     if isinstance(action, argparse._StoreTrueAction):
         flag = {"true": True, "1": True, "false": False, "0": False}.get(
             value.lower())
         if flag is None:
-            raise ValueError(f"config {action.dest}={value}: expected true, "
-                             "false, 1 or 0")
+            raise ValueError("expected true, false, 1 or 0")
         return flag
     convert = action.type or str
     if isinstance(action, argparse._AppendAction):
         return [convert(v.strip()) for v in value.split(",")]
-    return convert(value)
+    value = convert(value)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError("expected one of " + ", ".join(action.choices))
+    return value
 
 
 def run(argv=None):
+    """Run one command line and return its exit code; may be called again
+    and again in one process."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = _parse(parser, argv)
-        return args.func(args)
+        args = _parse(argv)
+        # looked up at call time, so a replaced cmd_* is the one run
+        return globals()["cmd_" + args.command](args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -84,6 +84,15 @@ def _column_ranks(X):
     return np.stack(ranks) + offsets, np.concatenate(values)
 
 
+def _stable_order(key, top):
+    """np.argsort(key, kind="stable") of int64 keys below top: one np.sort
+    of packed (key, position) values when those fit in int64."""
+    n = len(key)
+    if top * n <= 1 << 63:
+        return np.sort(key * n + np.arange(n)) % n
+    return np.argsort(key, kind="stable")
+
+
 def _best_splits(ranks, values, stats, rows, counts, feats, min_leaf):
     """Best cut of each node of a level over its drawn features.
 
@@ -109,7 +118,8 @@ def _best_splits(ranks, values, stats, rows, counts, feats, min_leaf):
     # one sort orders every pair's rows: pair-major, then by value
     key = np.repeat(np.arange(m * mf) * stride, n_pair) + ranks.ravel()[
         np.repeat(feats.ravel() * ranks.shape[1], n_pair) + rows[at]]
-    order = np.argsort(key)
+    # stable: tied rows keep their node's order whatever the level holds
+    order = _stable_order(key, m * mf * int(stride))
     key, at = key[order], at[order]
     del order
     cut = np.flatnonzero(key[1:] > key[:-1])

@@ -111,8 +111,11 @@ def read_pcap(path, session_id=None, vca_label=""):
         except (OSError, ValueError):   # a FIFO, or an empty file
             source = contextlib.nullcontext(fh.read())
     with source as data:
-        return _decode_pcap(data, session_id or os.path.basename(path),
-                            vca_label)
+        try:
+            return _decode_pcap(data, session_id or os.path.basename(path),
+                                vca_label)
+        except IngestError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
 
 def _decode_pcap(data, session_id, vca_label):
@@ -336,12 +339,13 @@ def _scatter(out, offsets, values):
 
 
 def read_packet_csv(path, session_id=None, vca_label=""):
-    """Read the packet CSV schema into a Session. RTP columns use -1 for
-    absent."""
+    """Read the packet CSV schema into a Session, rows in stable ts_us
+    order. RTP columns use -1 for absent."""
     rows = read_csv_rows(path, PACKET_ROW_DTYPE)
     if not len(rows):
         raise Empty(f"{path}: no packet rows")
-    rows = rows[np.argsort(rows["ts_us"], kind="stable")]
+    if (rows["ts_us"][1:] < rows["ts_us"][:-1]).any():
+        rows = rows[np.argsort(rows["ts_us"], kind="stable")]
     has_rtp = rows["rtp_pt"] >= 0
 
     def column(name, values=None):

@@ -693,3 +693,73 @@ def test_repeated_feature_column_is_named(tmp_path, fps_model, capsys):
                 "-o", str(tmp_path / "m.json")]) == 1
     assert (f"{bad}: line 1, column size_std: repeated"
             in capsys.readouterr().err)
+
+
+def test_config_of_one_run_does_not_reach_the_next(tmp_path):
+    calls = tmp_path / "calls"
+    assert run(["synth", "--duration", "8", "--seed", "3", "--bitrate",
+                "3000", "--non-separable", "-o", str(calls)]) == 0
+    packets = str(calls / "synth-3.packets.csv")
+    plain, configured = tmp_path / "plain.csv", tmp_path / "configured.csv"
+    assert run(["analyze", packets, "-o", str(plain)]) == 0
+    assert _with_config(tmp_path, "lookback=3\n", [
+        "analyze", packets, "-o", str(configured)]) == 0
+    assert configured.read_bytes() != plain.read_bytes()
+    again = tmp_path / "again.csv"
+    assert run(["analyze", packets, "-o", str(again)]) == 0
+    assert again.read_bytes() == plain.read_bytes()
+
+
+def test_run_dispatches_a_command_replaced_after_an_earlier_run(
+        tmp_path, corpus, monkeypatch):
+    import vcaqoe.cli as cli
+    packets = str(corpus / "synth-100.packets.csv")
+    assert run(["analyze", packets, "-o", str(tmp_path / "est.csv")]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(
+        args.input) or 7)
+    assert run(["analyze", packets, "-o", str(tmp_path / "other.csv")]) == 7
+    assert seen == [packets]
+    assert not (tmp_path / "other.csv").exists()
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("# defaults\nvmin=600\nlookback\n",
+     "line 3: lookback: not a key=value line"),
+    ("lookback=x\n", "line 1: lookback=x: invalid literal"),
+    ("\nwindow=0\n", "line 2: window=0: 0 is not a positive integer"),
+    ("method=foo\n", "line 1: method=foo: expected one of ipudp, rtp")])
+def test_config_errors_name_file_line_and_key(tmp_path, corpus, capsys,
+                                              text, fault):
+    est = tmp_path / "est.csv"
+    assert _with_config(tmp_path, text, [
+        "analyze", str(corpus / "synth-100.packets.csv"),
+        "-o", str(est)]) == 1
+    assert f"error: {tmp_path / 'run.cfg'}: {fault}" in capsys.readouterr().err
+    assert not est.exists()
+
+
+def test_features_names_the_bad_capture_of_a_directory(tmp_path, capsys):
+    from vcaqoe.ingest import write_pcap
+    from vcaqoe.synth import SenderProfile, generate
+    session, _truth, _log = generate(SenderProfile(), 4.0, seed=4)
+    write_pcap(session, str(tmp_path / "a.pcap"))
+    (tmp_path / "b.pcap").write_bytes(b"garbage, not a capture at all" * 2)
+    feats = tmp_path / "features.csv"
+    assert run(["features", str(tmp_path), "-o", str(feats)]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'b.pcap'}: unknown pcap magic" in err
+    assert "a.pcap" not in err
+    assert not feats.exists()
+
+
+def test_config_value_outside_choices_is_an_input_error(tmp_path, corpus,
+                                                        capsys):
+    est, report = tmp_path / "est.csv", tmp_path / "fps.json"
+    assert run(["analyze", str(corpus / "synth-100.packets.csv"),
+                "-o", str(est)]) == 0
+    assert _with_config(tmp_path, "metric=foo\n", [
+        "evaluate", str(est), str(corpus / "synth-100.truth.csv"),
+        "-o", str(report)]) == 1
+    assert "metric=foo: expected one of" in capsys.readouterr().err
+    assert not report.exists()

@@ -190,3 +190,25 @@ def test_trees_do_not_depend_on_how_many_grow_together(monkeypatch, cls):
         t.to_dict() for t in together.trees_]
     assert np.allclose(alone.feature_importances_,
                        together.feature_importances_, rtol=1e-9, atol=0)
+
+
+def test_tied_rows_do_not_depend_on_how_many_trees_grow_together(
+        monkeypatch):
+    # three values per feature, so nearly every cut moves tied rows, and
+    # a float target whose leaf means round with the order of the rows
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 3, (400, 4)).astype(float)
+    y = 1000.0 * rng.normal(size=400) + 0.1234567
+    together = RandomForestRegressor(n_trees=8, seed=1).fit(X, y)
+    monkeypatch.setattr(forest, "_LEVEL_ENTRIES", 1)
+    alone = RandomForestRegressor(n_trees=8, seed=1).fit(X, y)
+    assert [t.to_dict() for t in alone.trees_] == [
+        t.to_dict() for t in together.trees_]
+
+
+@pytest.mark.parametrize("top", [7, 1 << 40, 1 << 62])
+def test_stable_order_is_a_stable_argsort(top):
+    rng = np.random.default_rng(top % 1000)
+    key = rng.integers(0, min(top, 7), 2000) * (top // 7)
+    assert forest._stable_order(key, top).tolist() == np.argsort(
+        key, kind="stable").tolist()

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from vcaqoe.ingest import (BadHeader, BadMagic, BadRow, DuplicateSecond,
-                           Truncated, read_ground_truth_csv, read_packet_csv,
-                           read_pcap, write_ground_truth_csv, write_packet_csv,
-                           write_pcap)
+                           IngestError, Truncated, read_ground_truth_csv,
+                           read_packet_csv, read_pcap, write_ground_truth_csv,
+                           write_packet_csv, write_pcap)
 from vcaqoe.session import PacketRecord, QoeWindow, RtpHeader, Session
 from vcaqoe.synth import SenderProfile, generate
 
@@ -124,6 +124,23 @@ def test_read_pcap_truncated_record(tmp_path):
     p.write_bytes(blob)
     with pytest.raises(Truncated):
         read_pcap(str(p))
+
+
+@pytest.mark.parametrize("fault", ["magic", "record", "link", "no udp"])
+def test_read_pcap_errors_name_the_file(tmp_path, fault):
+    p = tmp_path / "bad.pcap"
+    frame = ref_udp_frame("1.1.1.1", "2.2.2.2", 1, 2, b"x" * 30)
+    blob = {"magic": ref_pcap_bytes([], magic=0xDEADBEEF),
+            "record": ref_pcap_bytes([(1, 0, frame)])[:-5],
+            "link": ref_pcap_bytes([])[:20] + struct.pack("<I", 101),
+            "no udp": ref_pcap_bytes([(1, 0, ref_tcp_frame())])}[fault]
+    p.write_bytes(blob)
+    with pytest.raises(IngestError) as exc:
+        read_pcap(str(p))
+    assert str(exc.value).startswith(f"{p}: ")
+    assert type(exc.value).__name__ == {
+        "magic": "BadMagic", "record": "Truncated",
+        "link": "UnsupportedLinkType", "no udp": "Empty"}[fault]
 
 
 def test_read_pcap_attaches_rtp(tmp_path):
@@ -377,6 +394,22 @@ def test_packet_csv_sorts_rows_and_counts_blank_lines(tmp_path):
     with pytest.raises(BadRow) as exc:
         read_packet_csv(str(p))
     assert exc.value.line_no == 5
+
+
+def test_packet_csv_in_arrival_order_reads_as_an_unordered_copy(tmp_path):
+    session, _truth, _log = generate(SenderProfile(), 4.0, seed=9)
+    ordered, unordered = tmp_path / "a.packets.csv", tmp_path / "b.packets.csv"
+    write_packet_csv(session, str(ordered))
+    header, *lines = ordered.read_text().splitlines()
+    ts = [int(line.split(",")[0]) for line in lines]
+    k = next(i for i in range(len(ts) // 2, len(ts)) if ts[i] > ts[i - 1])
+    unordered.write_text("\n".join([header] + lines[k:] + lines[:k]) + "\n")
+    a, b = read_packet_csv(str(ordered)), read_packet_csv(str(unordered))
+    assert a.columns.arrival_us.tolist() == sorted(ts)
+    for rows in ("columns", "fields"):
+        for f in fields(getattr(a, rows)):
+            assert (getattr(getattr(a, rows), f.name).tolist()
+                    == getattr(getattr(b, rows), f.name).tolist()), f.name
 
 
 def test_ground_truth_csv(tmp_path):
