@@ -185,14 +185,18 @@ class _BaseForest:
         self.n_features_ = d
         ranks, values = _column_ranks(X)
         per_group = max(1, _LEVEL_ENTRIES // (n * mf))
-        importances = np.zeros(d)
+        n_trees = int(self.n_trees)
+        per_tree = np.zeros((n_trees, d))
         self.trees_ = []
-        for first in range(0, int(self.n_trees), per_group):
-            group = range(first, min(first + per_group, int(self.n_trees)))
-            trees, imp = self._grow(ranks, values, y, group, mf)
+        for first in range(0, n_trees, per_group):
+            group = range(first, min(first + per_group, n_trees))
+            trees, per_tree[first:first + len(group)] = self._grow(
+                ranks, values, y, group, mf)
             self.trees_ += trees
-            totals = imp.sum(axis=1, keepdims=True)
-            importances += (imp / np.where(totals > 0, totals, 1)).sum(axis=0)
+        # the trees' normalised rows are summed once, in tree order, so no
+        # bit of the sum depends on how many trees grew together
+        totals = per_tree.sum(axis=1, keepdims=True)
+        importances = (per_tree / np.where(totals > 0, totals, 1)).sum(axis=0)
         s = importances.sum()
         self.feature_importances_ = (importances / s if s > 0
                                      else np.zeros(d))
@@ -215,6 +219,12 @@ class _BaseForest:
             m = len(counts)
             impurity, value, stats = self._node_stats(
                 y[rows], np.repeat(np.arange(m), counts), m)
+            weighted = counts * impurity
+            if depth:
+                # a split's impurity decrease, from its own node's and its
+                # children's rows only, whatever else grows in the level
+                np.add.at(importances, (tree[::2], cut_on), (
+                    parent - weighted[::2] - weighted[1::2]) / n)
             feature, threshold = np.full(m, -1), np.zeros(m)
             levels.append((tree, feature, threshold, value))
             split = np.flatnonzero((impurity > 0.0)
@@ -232,8 +242,7 @@ class _BaseForest:
             ok = gain > 1e-12
             done = split[ok]
             feature[done], threshold[done], value[done] = f[ok], thr[ok], 0.0
-            np.add.at(importances, (tree[done], f[ok]),
-                      size[ok] / n * gain[ok])
+            parent, cut_on = weighted[done], f[ok]
             rows = rows[_ranges((np.cumsum(size) - size)[ok], size[ok])]
             counts = np.column_stack([n_left[ok],
                                       size[ok] - n_left[ok]]).ravel()

@@ -25,8 +25,11 @@ from .session import (MICROS_PER_S, NO_CLASS, NO_RTP, RTP_FIXED_HEADER_LEN,
                       PacketColumns, QoeWindow, RecordFields, Session,
                       _addresses)
 
+# Address cells are read as bytes, one wider than the longest dotted quad:
+# np.loadtxt cuts a longer cell to the field's width, and a cut cell is
+# still too long to pass for an address.
 PACKET_ROW_DTYPE = np.dtype(
-    [("ts_us", np.int64), ("src_ip", object), ("dst_ip", object)]
+    [("ts_us", np.int64), ("src_ip", "S16"), ("dst_ip", "S16")]
     + [(name, np.int64) for name in (
         "src_port", "dst_port", "udp_payload_len", "rtp_pt", "rtp_seq",
         "rtp_ts", "rtp_marker", "rtp_ssrc")])
@@ -321,10 +324,19 @@ def _ipv4(column):
     converted once per distinct value."""
     if column.dtype.kind in "iu":
         return column
-    values, inverse = np.unique(column, return_inverse=True)
-    return np.array([int.from_bytes(socket.inet_aton(v), "big")
-                     for v in values.tolist()],
-                    dtype=np.int64)[inverse.reshape(-1)]
+    return _per_distinct(column, lambda v: int.from_bytes(
+        socket.inet_aton(v), "big"))
+
+
+def _per_distinct(column, convert):
+    """convert applied to a column, as int64, once per distinct value among
+    the first cells of its runs of equal cells."""
+    head = np.ones(len(column), dtype=bool)
+    head[1:] = column[1:] != column[:-1]
+    heads = np.flatnonzero(head)
+    values, inverse = np.unique(column[heads], return_inverse=True)
+    return np.array([convert(v) for v in values.tolist()], dtype=np.int64)[
+        np.repeat(inverse.reshape(-1), np.diff(heads, append=len(column)))]
 
 
 def _scatter(out, offsets, values):
@@ -340,12 +352,16 @@ def _scatter(out, offsets, values):
 
 def read_packet_csv(path, session_id=None, vca_label=""):
     """Read the packet CSV schema into a Session, rows in stable ts_us
-    order. RTP columns use -1 for absent."""
+    order. RTP columns use -1 for absent. Addresses must be dotted quads;
+    they are held as integers, as read_pcap gives them."""
     rows = read_csv_rows(path, PACKET_ROW_DTYPE)
     if not len(rows):
         raise Empty(f"{path}: no packet rows")
+    src_ip, dst_ip = (_ipv4_cells(path, rows, name)
+                      for name in ("src_ip", "dst_ip"))
     if (rows["ts_us"][1:] < rows["ts_us"][:-1]).any():
-        rows = rows[np.argsort(rows["ts_us"], kind="stable")]
+        order = np.argsort(rows["ts_us"], kind="stable")
+        rows, src_ip, dst_ip = rows[order], src_ip[order], dst_ip[order]
     has_rtp = rows["rtp_pt"] >= 0
 
     def column(name, values=None):
@@ -359,13 +375,28 @@ def read_packet_csv(path, session_id=None, vca_label=""):
         column("rtp_ts"), column("rtp_marker", rows["rtp_marker"] != 0),
         column("rtp_seq"), np.full(n, NO_CLASS, dtype=np.int64))
     fields = RecordFields(
-        rows["src_ip"], rows["dst_ip"], rows["src_port"], rows["dst_port"],
+        src_ip, dst_ip, rows["src_port"], rows["dst_port"],
         column("rtp_ssrc"), np.full(n, 0x80, dtype=np.int64),
         np.full(n, RTP_FIXED_HEADER_LEN, dtype=np.int64), np.empty(n, object))
     if session_id is None:
         session_id = os.path.splitext(os.path.basename(path))[0]
         session_id = session_id.removesuffix(".packets")
     return Session(session_id, vca_label, columns=cols, fields=fields)
+
+
+def _ipv4_cells(path, rows, name):
+    """A column of dotted-quad cells as int64 IPv4 addresses; a cell that
+    is not a dotted quad is a BadRow."""
+    def address(cell):
+        try:
+            return int.from_bytes(socket.inet_pton(
+                socket.AF_INET, cell.decode("latin-1")), "big")
+        except (OSError, ValueError):
+            line_no, row = csv_row(path, int(np.argmax(rows[name] == cell)))
+            cell = row[PACKET_CSV_HEADER.index(name)]   # not cut to width
+            raise BadRow(path, line_no, f"{cell!r} is not a dotted-quad "
+                         "IPv4 address", name) from None
+    return _per_distinct(rows[name], address)
 
 
 def read_csv_header(path):
@@ -380,7 +411,9 @@ def read_csv_rows(path, dtype):
 
     Blank lines are skipped; every other line must hold one cell per field:
     an integer for an integer field, a number (nan and inf included) for a
-    float field, any text for an object field. Cells may be quoted with ".
+    float field, any text for an object field and latin-1 text for a bytes
+    field, which np.loadtxt cuts to the field's width. Cells may be quoted
+    with ".
     All rows are parsed in one numpy call. Only when that fails is the file
     scanned line by line, to raise a BadRow that names the first line that
     does not parse and the column at fault.
@@ -437,7 +470,8 @@ def _row_fault(path, line_no, line, dtype, exc):
         kind = dtype[name].kind
         if kind != "O" and not _parses(cell, dtype[name]):
             return BadRow(path, line_no, f"{cell!r} is not " + (
-                "an integer" if kind in "iu" else "a number"), name)
+                "an integer" if kind in "iu" else "a number" if kind == "f"
+                else "latin-1 text"), name)
     return BadRow(path, line_no, str(exc))
 
 

@@ -6,6 +6,12 @@ packet's UDP payload is written as media bytes + 12 so the fixed-RTP-header
 deduction downstream recovers the media byte count exactly. A separate
 impairment pass adds delay jitter, Bernoulli loss, and optional
 retransmissions.
+
+Both passes work on whole arrays and have no per-packet step. generate
+draws every frame's size noise at once, widens the sizes for separability
+in one scalar pass over the frames (the only step that depends on earlier
+frames), and emits every frame's packets with np.repeat over the per-frame
+packet counts; impair draws one delay and one loss per packet as arrays.
 """
 
 from __future__ import annotations
@@ -108,19 +114,75 @@ class FrameLogEntry:
     rtp_ts: int
 
 
+def _packet_counts(sizes, max_payload):
+    """ceil(size / max_payload) packets for each frame size, at least one."""
+    return np.maximum(1, np.ceil(sizes / max_payload)).astype(np.int64)
+
+
+def _fragments(sizes, max_payload):
+    """The fragmentation rule for an array of frame sizes: a frame of size
+    media bytes splits into _packet_counts near-equal chunks, and the
+    remainder is spread one byte each over the first chunks, so the
+    intra-frame spread never exceeds one byte.
+
+    Returns each frame's packet count, then each packet's index within its
+    frame and its media bytes, packets in frame order.
+    """
+    counts = _packet_counts(sizes, max_payload)
+    chunk = sizes // counts
+    index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                counts)
+    media = np.repeat(chunk, counts) + (
+        index < np.repeat(sizes - chunk * counts, counts))
+    return counts, index, media
+
+
 def fragment_sizes(size, max_payload):
-    """Split a frame of `size` media bytes into ceil(size/max_payload)
-    near-equal chunks; the remainder is spread one byte each over the first
-    chunks, so the intra-frame spread never exceeds one byte."""
-    n_pkts = max(1, math.ceil(size / max_payload))
-    chunk = size // n_pkts
-    rem = size - chunk * n_pkts
-    return [chunk + 1 if j < rem else chunk for j in range(n_pkts)]
+    """The chunk sizes one frame of `size` media bytes splits into (see
+    _fragments)."""
+    return _fragments(np.array([size], dtype=np.int64),
+                      max_payload)[2].tolist()
+
+
+def _separate(sizes, n_pkts, depth):
+    """Frame sizes widened until each frame's chunk, size // n_pkts, is at
+    least SEPARATION_MARGIN bytes from the chunks of the depth frames
+    before it, as those were widened; a step adds n_pkts bytes, one to the
+    chunk. This is the one step that depends on earlier frames. It runs as
+    a scalar pass that looks only at frames near an earlier chunk: first
+    as drawn, then as each widened chunk marks the frames after it.
+    """
+    chunk = sizes // n_pkts
+    near = np.zeros(len(sizes), dtype=bool)
+    for k in range(1, depth + 1):
+        near[k:] |= np.abs(chunk[k:] - chunk[:-k]) < SEPARATION_MARGIN
+    sizes, chunks, n_pkts = sizes.tolist(), chunk.tolist(), n_pkts.tolist()
+    near = near.tolist()
+    for i in range(len(sizes)):
+        if not near[i]:
+            continue
+        size, c, n = sizes[i], chunks[i], n_pkts[i]
+        recent = chunks[max(0, i - depth):i]
+        while any(abs(c - r) < SEPARATION_MARGIN for r in recent):
+            size += n
+            c = size // n
+        if size != sizes[i]:
+            sizes[i], chunks[i] = size, c
+            for j in range(i + 1, min(i + 1 + depth, len(sizes))):
+                near[j] = near[j] or abs(chunks[j] - c) < SEPARATION_MARGIN
+    return np.array(sizes, dtype=np.int64)
 
 
 def generate(profile: SenderProfile, duration_s: float, seed: int,
              session_id=None, vca_label="synthetic"):
-    """Generate (Session, GroundTruthSeries, frame log) for one session."""
+    """Generate (Session, GroundTruthSeries, frame log) for one session.
+
+    Draws come from one generator in a fixed order: one normal per frame
+    (when frame_size_jitter > 0), then one integer per audio packet. A
+    frame's packet count and marker come from its size before the
+    separability widening, and its packets from its size after it, so a
+    widened frame can emit packets past its marker and its complete_us.
+    """
     profile.validate()
     if duration_s < 2:
         raise InvalidProfile("duration must be at least 2 seconds")
@@ -132,62 +194,53 @@ def generate(profile: SenderProfile, duration_s: float, seed: int,
         raise InvalidProfile("payload type map lacks a video entry")
 
     start_us = int(round(profile.start_time_s * MICROS_PER_S))
-    n_frames = int(math.floor(duration_s * profile.fps))
-    mean_media = profile.bitrate_kbps * 1000.0 / 8.0 / profile.fps
+    frame = np.arange(int(math.floor(duration_s * profile.fps)))
+    # np.rint rounds half to even, as round() does. The size noise goes
+    # through math.exp, not np.exp, which may differ from it in the last
+    # bit: rounding the product to whole bytes would carry that difference
+    # into the corpus.
+    emit_us = start_us + np.rint(
+        frame * MICROS_PER_S / profile.fps).astype(np.int64)
+    rtp_ts = np.rint(frame * profile.rtp_ts_increment).astype(
+        np.int64) & 0xFFFFFFFF
+    sizes = np.full(len(frame), profile.bitrate_kbps * 1000.0 / 8.0
+                    / profile.fps)
+    if profile.keyframe_interval:
+        sizes[frame % profile.keyframe_interval == 0] *= (
+            profile.keyframe_multiplier)
+    if profile.frame_size_jitter > 0:
+        sizes *= np.fromiter(map(math.exp, rng.normal(
+            0.0, profile.frame_size_jitter, len(frame)).tolist()),
+            np.float64, len(frame))
+    sizes = np.maximum(MIN_PACKET_MEDIA, np.rint(sizes).astype(np.int64))
+    n_pkts = _packet_counts(sizes, profile.max_payload)
+    short = sizes // n_pkts < MIN_PACKET_MEDIA
+    sizes[short] = MIN_PACKET_MEDIA * n_pkts[short]
+    if profile.separable:
+        # the widening looks back at most 8 frames, however deep
+        # separable_depth is
+        sizes = _separate(sizes, n_pkts, min(profile.separable_depth, 8))
+    counts, index, media = _fragments(sizes, profile.max_payload)
+    complete_us = emit_us + (n_pkts - 1) * INTRA_FRAME_GAP_US
 
-    # per packet: arrival_us, payload_len, rtp_pt, rtp_ts, rtp_marker,
-    # rtp_seq, src_port and rtp_ssrc
-    packets = []
-    frame_log = []
-    seq = 0
-    recent_chunks = []
-    for i in range(n_frames):
-        emit_us = start_us + int(round(i * MICROS_PER_S / profile.fps))
-        size = mean_media
-        if (profile.keyframe_interval
-                and i % profile.keyframe_interval == 0):
-            size *= profile.keyframe_multiplier
-        if profile.frame_size_jitter > 0:
-            size *= math.exp(rng.normal(0.0, profile.frame_size_jitter))
-        size = max(MIN_PACKET_MEDIA, int(round(size)))
-
-        n_pkts = max(1, math.ceil(size / profile.max_payload))
-        chunk = size // n_pkts
-        if chunk < MIN_PACKET_MEDIA:
-            size = MIN_PACKET_MEDIA * n_pkts
-            chunk = MIN_PACKET_MEDIA
-        if profile.separable:
-            while any(abs(chunk - c) < SEPARATION_MARGIN
-                      for c in recent_chunks[-profile.separable_depth:]):
-                size += n_pkts
-                chunk = size // n_pkts
-        chunks = fragment_sizes(size, profile.max_payload)
-        recent_chunks.append(chunk)
-        if len(recent_chunks) > 8:
-            recent_chunks = recent_chunks[-8:]
-
-        rtp_ts = int(round(i * profile.rtp_ts_increment)) & 0xFFFFFFFF
-        for j, media in enumerate(chunks):
-            packets.append((emit_us + j * INTRA_FRAME_GAP_US,
-                            media + RTP_FIXED_HEADER_LEN, pt_video, rtp_ts,
-                            j == n_pkts - 1, seq & 0xFFFF, SRC[1],
-                            profile.video_ssrc))
-            seq += 1
-        complete_us = emit_us + (n_pkts - 1) * INTRA_FRAME_GAP_US
-        frame_log.append(FrameLogEntry(i, emit_us, complete_us, size, rtp_ts))
-
+    # one row per packet field: arrival_us, payload_len, rtp_pt, rtp_ts,
+    # rtp_marker, rtp_seq, src_port and rtp_ssrc
+    parts = [np.stack(np.broadcast_arrays(
+        np.repeat(emit_us, counts) + index * INTRA_FRAME_GAP_US,
+        media + RTP_FIXED_HEADER_LEN, pt_video, np.repeat(rtp_ts, counts),
+        index == np.repeat(n_pkts - 1, counts),
+        np.arange(len(index)) & 0xFFFF, SRC[1], profile.video_ssrc))]
     # Interleaved audio stream.
     if profile.audio_pps > 0 and pt_audio is not None:
         lo, hi = profile.audio_size_range
-        n_audio = int(math.floor(duration_s * profile.audio_pps))
-        for k in range(n_audio):
-            t_us = start_us + int(round(k * MICROS_PER_S / profile.audio_pps)) + 37
-            size = int(rng.integers(lo, hi + 1))
-            packets.append((t_us, size, pt_audio,
-                            int(k * 48000 / profile.audio_pps) & 0xFFFFFFFF,
-                            True, k & 0xFFFF, SRC[1] + 2, profile.audio_ssrc))
-
-    rows = np.array(packets, dtype=np.int64).reshape(-1, 8).T
+        k = np.arange(int(math.floor(duration_s * profile.audio_pps)))
+        parts.append(np.stack(np.broadcast_arrays(
+            start_us + np.rint(k * MICROS_PER_S / profile.audio_pps).astype(
+                np.int64) + 37,
+            rng.integers(lo, hi + 1, len(k)), pt_audio,
+            (k * 48000 / profile.audio_pps).astype(np.int64) & 0xFFFFFFFF,
+            1, k & 0xFFFF, SRC[1] + 2, profile.audio_ssrc)))
+    rows = np.concatenate(parts, axis=1)
     rows = rows[:, np.argsort(rows[0], kind="stable")]
     n = rows.shape[1]
     sid = session_id or f"synth-{seed}"
@@ -196,6 +249,9 @@ def generate(profile: SenderProfile, duration_s: float, seed: int,
         np.full(n, SRC[0]), np.full(n, DST[0]), rows[6], np.full(n, DST[1]),
         rows[7], np.full(n, 0x80), np.full(n, RTP_FIXED_HEADER_LEN),
         np.empty(n, object)))
+    frame_log = list(map(FrameLogEntry, frame.tolist(), emit_us.tolist(),
+                         complete_us.tolist(), sizes.tolist(),
+                         rtp_ts.tolist()))
     truth = truth_from_frame_log(frame_log, sid, first_us=int(rows[0, 0]),
                                  last_us=int(rows[0, -1]))
     return session, truth, frame_log

@@ -505,6 +505,26 @@ def test_bad_feature_cell_is_named(tmp_path, fps_model, capsys, column,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("column,cell", [
+    ("src_ip", "10.0.0"), ("dst_ip", "255.255.255.255xyz"),
+    ("src_ip", "10.0.0.02"), ("dst_ip", "\u20ac.0.0.1"), ("src_ip", "")],
+    ids=["three-octets", "too-long", "leading-zero", "not-latin-1", "empty"])
+def test_bad_address_cell_is_named(tmp_path, corpus, capsys, column, cell):
+    lines = (corpus / "synth-100.packets.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[5].split(",")
+    row[header.index(column)] = cell
+    bad = tmp_path / "bad.packets.csv"
+    bad.write_text("\n".join(lines[:5] + [",".join(row)] + lines[6:]) + "\n",
+                   encoding="utf-8")
+    out = tmp_path / "est.csv"
+    assert run(["analyze", str(bad), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "line 6" in err and column in err
+    assert repr(cell) in err
+    assert not out.exists()
+
+
 def test_missing_truth_cell_is_accepted(tmp_path, fps_model):
     feats, _model = fps_model
     lines = feats.read_text().splitlines()

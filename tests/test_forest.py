@@ -206,6 +206,23 @@ def test_tied_rows_do_not_depend_on_how_many_trees_grow_together(
         t.to_dict() for t in together.trees_]
 
 
+@pytest.mark.parametrize("cls", [RandomForestRegressor,
+                                 RandomForestClassifier])
+def test_saved_forest_does_not_depend_on_how_many_trees_grow_together(
+        monkeypatch, tmp_path, cls):
+    X, y = make_linear(n=300, noise=0.2, seed=25)
+    if cls is RandomForestClassifier:
+        y = np.digitize(y, [-1.0, 1.0])
+    names = [f"f{i}" for i in range(X.shape[1])]
+    save_forest(cls(n_trees=12, seed=26).fit(X, y),
+                str(tmp_path / "together.json"), names)
+    monkeypatch.setattr(forest, "_LEVEL_ENTRIES", 1)
+    save_forest(cls(n_trees=12, seed=26).fit(X, y),
+                str(tmp_path / "alone.json"), names)
+    assert ((tmp_path / "alone.json").read_bytes()
+            == (tmp_path / "together.json").read_bytes())
+
+
 @pytest.mark.parametrize("top", [7, 1 << 40, 1 << 62])
 def test_stable_order_is_a_stable_argsort(top):
     rng = np.random.default_rng(top % 1000)

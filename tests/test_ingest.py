@@ -360,6 +360,28 @@ def test_packet_csv_roundtrip(tmp_path):
     assert s.packets[1].rtp is None
 
 
+def test_packet_csv_addresses_read_as_integers(tmp_path):
+    header = ("ts_us,src_ip,dst_ip,src_port,dst_port,udp_payload_len,"
+              "rtp_pt,rtp_seq,rtp_ts,rtp_marker,rtp_ssrc\n")
+    rows = ["3000,0.0.0.0,2.2.2.2,10,20,600,102,5,3000,1,77\n",
+            "1000,255.255.255.255,2.2.2.2,10,20,120,-1,-1,-1,-1,-1\n",
+            "2000,10.0.0.2,\"192.0.2.10\",10,20,120,-1,-1,-1,-1,-1\n"]
+    path = tmp_path / "x.packets.csv"
+    path.write_text(header + "".join(rows))
+    session = read_packet_csv(str(path))
+    assert session.fields.src_ip.dtype == np.int64
+    assert session.fields.src_ip.tolist() == [0xFFFFFFFF, 0x0A000002, 0]
+    assert session.fields.dst_ip.tolist() == [0x02020202, 0xC000020A,
+                                              0x02020202]
+    assert [(p.src_ip, p.dst_ip) for p in session.packets] == [
+        ("255.255.255.255", "2.2.2.2"), ("10.0.0.2", "192.0.2.10"),
+        ("0.0.0.0", "2.2.2.2")]
+    out = tmp_path / "out.packets.csv"
+    write_packet_csv(session, str(out))
+    assert out.read_text() == header + "".join(
+        row.replace('"', "") for row in (rows[1], rows[2], rows[0]))
+
+
 def test_packet_csv_bad_header(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("ts,stuff\n1,2\n")

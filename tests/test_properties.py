@@ -1,5 +1,6 @@
 """Property tests: the columnar kernels against per-packet reference rules."""
 
+import math
 import os
 import struct
 import tempfile
@@ -25,9 +26,13 @@ from vcaqoe.heuristics import segment_stats, window_series
 from vcaqoe.ingest import (read_packet_csv, read_pcap, write_packet_csv,
                            write_pcap)
 from vcaqoe.pipeline import analyze_session
-from vcaqoe.session import (MediaClass, PacketColumns, PacketRecord,
+from vcaqoe.session import (NO_CLASS, RTP_FIXED_HEADER_LEN, MediaClass,
+                            PacketColumns, PacketRecord, RecordFields,
                             RtpError, RtpHeader, Session, parse_rtp_header)
-from vcaqoe.synth import ImpairmentProfile, SenderProfile, generate, impair
+from vcaqoe.synth import (DST, INTRA_FRAME_GAP_US, MIN_PACKET_MEDIA,
+                          SEPARATION_MARGIN, SRC, FrameLogEntry,
+                          ImpairmentProfile, SenderProfile, generate, impair,
+                          truth_from_frame_log)
 
 
 def reference_labels(sizes, delta_size_max, n_max):
@@ -613,3 +618,148 @@ def test_level_wise_growth_matches_depth_first(problem, min_leaf, max_depth,
         assert len(tree.feature) == reference_nodes(ref)
         assert list(tree.predict(grid)) == [reference_predict(ref, x)
                                             for x in grid]
+
+
+def reference_generate(profile, duration_s, seed, session_id=None,
+                       vca_label="synthetic"):
+    """generate, one frame and one packet at a time: a frame's size from
+    its own normal draw, the separability widening against the chunks of
+    the frames before it, then one tuple per packet, split by the scalar
+    fragmentation rule; audio draws after every frame's."""
+    rng = np.random.default_rng([int(seed), 0xC0FFEE])
+    ptmap = profile.ptmap()
+    pt_video = ptmap.payload_type_for(MediaClass.VIDEO)
+    pt_audio = ptmap.payload_type_for(MediaClass.AUDIO)
+    start_us = int(round(profile.start_time_s * 1_000_000))
+    n_frames = int(math.floor(duration_s * profile.fps))
+    mean_media = profile.bitrate_kbps * 1000.0 / 8.0 / profile.fps
+
+    # per packet: arrival_us, payload_len, rtp_pt, rtp_ts, rtp_marker,
+    # rtp_seq, src_port and rtp_ssrc
+    packets = []
+    frame_log = []
+    seq = 0
+    recent_chunks = []
+    for i in range(n_frames):
+        emit_us = start_us + int(round(i * 1_000_000 / profile.fps))
+        size = mean_media
+        if (profile.keyframe_interval
+                and i % profile.keyframe_interval == 0):
+            size *= profile.keyframe_multiplier
+        if profile.frame_size_jitter > 0:
+            size *= math.exp(rng.normal(0.0, profile.frame_size_jitter))
+        size = max(MIN_PACKET_MEDIA, int(round(size)))
+
+        n_pkts = max(1, math.ceil(size / profile.max_payload))
+        chunk = size // n_pkts
+        if chunk < MIN_PACKET_MEDIA:
+            size = MIN_PACKET_MEDIA * n_pkts
+            chunk = MIN_PACKET_MEDIA
+        if profile.separable:
+            while any(abs(chunk - c) < SEPARATION_MARGIN
+                      for c in recent_chunks[-profile.separable_depth:]):
+                size += n_pkts
+                chunk = size // n_pkts
+        n_sent = max(1, math.ceil(size / profile.max_payload))
+        base, rem = divmod(size, n_sent)
+        chunks = [base + 1 if j < rem else base for j in range(n_sent)]
+        recent_chunks.append(chunk)
+        if len(recent_chunks) > 8:
+            recent_chunks = recent_chunks[-8:]
+
+        rtp_ts = int(round(i * profile.rtp_ts_increment)) & 0xFFFFFFFF
+        for j, media in enumerate(chunks):
+            packets.append((emit_us + j * INTRA_FRAME_GAP_US,
+                            media + RTP_FIXED_HEADER_LEN, pt_video, rtp_ts,
+                            j == n_pkts - 1, seq & 0xFFFF, SRC[1],
+                            profile.video_ssrc))
+            seq += 1
+        complete_us = emit_us + (n_pkts - 1) * INTRA_FRAME_GAP_US
+        frame_log.append(FrameLogEntry(i, emit_us, complete_us, size, rtp_ts))
+
+    if profile.audio_pps > 0 and pt_audio is not None:
+        lo, hi = profile.audio_size_range
+        n_audio = int(math.floor(duration_s * profile.audio_pps))
+        for k in range(n_audio):
+            t_us = (start_us + int(round(k * 1_000_000 / profile.audio_pps))
+                    + 37)
+            size = int(rng.integers(lo, hi + 1))
+            packets.append((t_us, size, pt_audio,
+                            int(k * 48000 / profile.audio_pps) & 0xFFFFFFFF,
+                            True, k & 0xFFFF, SRC[1] + 2, profile.audio_ssrc))
+
+    rows = np.array(packets, dtype=np.int64).reshape(-1, 8).T
+    rows = rows[:, np.argsort(rows[0], kind="stable")]
+    n = rows.shape[1]
+    sid = session_id or f"synth-{seed}"
+    session = Session(sid, vca_label, columns=PacketColumns(
+        *rows[:6], np.full(n, NO_CLASS)), fields=RecordFields(
+        np.full(n, SRC[0]), np.full(n, DST[0]), rows[6], np.full(n, DST[1]),
+        rows[7], np.full(n, 0x80), np.full(n, RTP_FIXED_HEADER_LEN),
+        np.empty(n, object)))
+    truth = truth_from_frame_log(frame_log, sid, first_us=int(rows[0, 0]),
+                                 last_us=int(rows[0, -1]))
+    return session, truth, frame_log
+
+
+def assert_same_generated(got, expected):
+    (session, truth, log), (ref_session, ref_truth, ref_log) = got, expected
+    assert session.session_id == ref_session.session_id
+    for name in ("columns", "fields"):
+        a, b = getattr(session, name), getattr(ref_session, name)
+        for f in fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x.dtype == y.dtype and x.tolist() == y.tolist(), f.name
+    assert log == ref_log
+    assert truth == ref_truth
+
+
+# every frame at 3600 bytes with 1200-byte packets: the widening takes
+# chunks 1200 to 1204, 1208 and 1212, past n_pkts * max_payload, so those
+# frames are sent as four packets with the marker on the third
+WIDENED_PAST_MAX_PAYLOAD = SenderProfile(fps=30.0, bitrate_kbps=864.0,
+                                         frame_size_jitter=0.0)
+generator_profiles = st.builds(
+    SenderProfile,
+    fps=st.floats(1.0, 40.0),
+    bitrate_kbps=st.floats(50.0, 2500.0),
+    max_payload=st.integers(200, 1500),
+    keyframe_interval=st.integers(0, 12),
+    keyframe_multiplier=st.floats(1.0, 4.0),
+    frame_size_jitter=st.sampled_from([0.0, 0.01, 0.05, 0.3]),
+    audio_pps=st.sampled_from([0.0, 7.5, 50.0]),
+    audio_size_range=st.sampled_from([(89, 385), (100, 100), (1, 1400)]),
+    payload_type_map=st.sampled_from([
+        None, {102: MediaClass.VIDEO},
+        {96: MediaClass.VIDEO, 97: MediaClass.AUDIO}]),
+    separable=st.booleans(),
+    separable_depth=st.integers(1, 10),
+    start_time_s=st.sampled_from([1_700_000_000.2, 0.0, 12.345678]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=generator_profiles, duration_s=st.floats(2.0, 5.0),
+       seed=st.integers(0, 2**31 - 1))
+@example(profile=WIDENED_PAST_MAX_PAYLOAD, duration_s=3.0, seed=1)
+@example(profile=SenderProfile(keyframe_interval=5, max_payload=200,
+                               bitrate_kbps=2500.0, fps=10.0),
+         duration_s=4.0, seed=2)
+# equal sizes widen in a cycle of separable_depth + 1 chunks, but the
+# widening looks back at most 8 frames
+@example(profile=SenderProfile(frame_size_jitter=0.0, separable_depth=10),
+         duration_s=2.0, seed=3)
+def test_generate_equals_per_packet_reference(profile, duration_s, seed):
+    assert_same_generated(generate(profile, duration_s, seed),
+                          reference_generate(profile, duration_s, seed))
+
+
+def test_reference_widens_frames_past_their_packet_count():
+    """The example above reaches the widening branch that adds a packet:
+    some frames have a packet after their marker."""
+    session, _truth, log = reference_generate(WIDENED_PAST_MAX_PAYLOAD, 3.0,
+                                              seed=1)
+    cols = session.columns
+    video = cols.rtp_pt == 102
+    per_frame = np.unique(cols.rtp_ts[video], return_counts=True)[1]
+    assert set(per_frame.tolist()) == {3, 4}
+    assert cols.rtp_marker[video].sum() == len(log)
