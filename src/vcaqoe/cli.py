@@ -23,13 +23,13 @@ from .features import IPUDP_FEATURE_NAMES, RTP_FEATURE_NAMES, SemanticParams, \
 from .forest import (ForestError, RandomForestClassifier,
                      RandomForestRegressor, load_forest, save_forest)
 from .heuristics import session_windows, whole_seconds
-from .ingest import (TRUTH_CSV_HEADER, BadHeader, BadRow, IngestError,
-                     _atomic_write_bytes, _atomic_write_csv, csv_row,
-                     read_csv_header, read_csv_rows, read_ground_truth_csv,
-                     read_packet_csv, read_pcap, truth_cells,
-                     write_ground_truth_csv, write_packet_csv)
+from .ingest import (TRUTH_CSV_HEADER, BadHeader, BadRow, DuplicateSecond,
+                     IngestError, _atomic_write_bytes, _atomic_write_csv,
+                     csv_row, read_csv_header, read_csv_rows,
+                     read_ground_truth_csv, read_packet_csv, read_pcap,
+                     truth_cells, write_ground_truth_csv, write_packet_csv)
 from .pipeline import analyze_session
-from .session import NO_RTP, QoeWindow
+from .session import NO_HEIGHT, NO_RTP
 from .synth import (ImpairmentProfile, SenderProfile, generate, impair,
                     write_frame_log_csv)
 from . import sweeps
@@ -130,8 +130,9 @@ def cmd_analyze(args):
     params = IpUdpAssemblyParams(delta_size_max=args.delta, n_max=n_max)
     series = analyze_session(session, args.method, params,
                              SizeThreshold(args.vmin), w=args.window)
-    rows = [series[k] for k in session_windows(session, args.window)]
-    write_ground_truth_csv(rows, args.output)
+    write_ground_truth_csv(series.take(np.isin(
+        series.window_start, session_windows(session, args.window))),
+        args.output)
     return 0
 
 
@@ -164,22 +165,23 @@ def cmd_features(args):
     header = ["session_id", "window_start"] + names + TRUTH_CSV_HEADER[1:]
     rows = []
     for pk_path, truth_path in _session_truth_pairs(args.inputs, args.truth):
-        session = _read_session(pk_path, args.vca, args.set == "rtp")
+        session = _read_session(pk_path, rtp=args.set == "rtp")
         if args.set == "ipudp":
             tagged = classify_by_size(session, SizeThreshold(args.vmin))
         else:
             tagged = classify_by_payload_type(session)
         keys, X = session_feature_rows(tagged, args.set, args.window, params)
-        truth_by_key = {}
+        keep = np.isin(keys, session_windows(session, args.window))
+        keys = np.array(keys, dtype=np.int64)[keep]
+        cells = ["nan,nan,nan,-1"] * len(keys)   # a window with no truth row
         if truth_path:
-            truth = read_ground_truth_csv(truth_path)
-            truth_by_key = {r.window_start: r for r in truth.rows}
-        windows = session_windows(session, args.window)
-        for k, vec in zip(keys, X.tolist()):
-            if k not in windows:
-                continue
-            rows.append([session.session_id, k] + [f"{v:.9g}" for v in vec]
-                        + truth_cells(truth_by_key.get(k, QoeWindow(k))))
+            truth = read_ground_truth_csv(truth_path).rows
+            _, i, j = np.intersect1d(keys, truth.window_start,
+                                     assume_unique=True, return_indices=True)
+            for at, c in zip(i.tolist(), truth_cells(truth.take(j))):
+                cells[at] = c
+        rows += [[session.session_id, k] + [f"{v:.9g}" for v in vec] + [c]
+                 for k, vec, c in zip(keys.tolist(), X[keep].tolist(), cells)]
     _atomic_write_csv(args.output, header, rows)
     return 0
 
@@ -255,20 +257,30 @@ def cmd_predict(args):
 
 # -------------------------------------------------------------- evaluate
 
-def _read_series_csv(path, metric_col, session_id):
-    """{window_start: value} of one session, from a truth-schema CSV or from
-    the session's rows of a prediction CSV (values kept as strings), told
-    apart by the first column name.
+def _read_predictions(path, metric_col, session_id):
+    """(window starts, values) of one session from a PRED file: its rows of
+    a prediction CSV, values kept as strings (resolution predictions may be
+    class labels), or the metric column of a truth-schema CSV, in which an
+    unknown frame_height reads as nan. The first column name tells the two
+    apart.
 
     A prediction row belongs to the session when its session_id, less a
     ".pcap" suffix (read_pcap names a session after its file), is
-    session_id."""
-    if read_csv_header(path)[:1] == PREDICTION_HEADER[:1]:
-        rows = read_csv_rows(path, PREDICTION_DTYPE).tolist()
-        return {w: p for s, w, p in rows
-                if s.removesuffix(".pcap") == session_id}
-    truth = read_ground_truth_csv(path)
-    return {r.window_start: getattr(r, metric_col) for r in truth.rows}
+    session_id; a window the session repeats is an input error."""
+    if read_csv_header(path)[:1] != PREDICTION_HEADER[:1]:
+        truth = read_ground_truth_csv(path).rows
+        values = getattr(truth, metric_col)
+        if metric_col == "frame_height":
+            values = np.where(values == NO_HEIGHT, np.nan, values)
+        return truth.window_start, values
+    rows = read_csv_rows(path, PREDICTION_DTYPE)
+    rows = rows[np.array([s.removesuffix(".pcap") == session_id
+                          for s in rows["session_id"].tolist()], dtype=bool)]
+    starts, counts = np.unique(rows["window_start"], return_counts=True)
+    if (counts > 1).any():
+        raise DuplicateSecond(f"{path}: session {session_id}: window_start="
+                              f"{starts[counts > 1][0]} repeated")
+    return rows["window_start"], rows["prediction"]
 
 
 def _is_number(text):
@@ -283,34 +295,29 @@ def cmd_evaluate(args):
     col = TARGET_COLUMNS[args.metric]
     session_id = os.path.basename(args.truth).removesuffix(".csv")
     session_id = session_id.removesuffix(".truth")
-    pred = _read_series_csv(args.pred, col, session_id)
-    truth = _read_series_csv(args.truth, col, session_id)
-    keys = sorted(set(pred) & set(truth))
-    if not keys:
+    starts, pred = _read_predictions(args.pred, col, session_id)
+    truth = read_ground_truth_csv(args.truth).rows
+    _, i, j = np.intersect1d(starts, truth.window_start, assume_unique=True,
+                             return_indices=True)
+    if not len(i):
         raise EvalError(f"no prediction for a window of session {session_id}")
+    pred, truth = pred[i].tolist(), getattr(truth, col)[j].tolist()
     if args.metric == "resolution":
-        heights = [int(truth[k]) for k in keys
-                   if truth[k] is not None and truth[k] > 0]
-        labels = [pred[k] for k in keys if pred[k] is not None]
-        binning = (binning_for_heights(heights)
-                   if all(map(_is_number, labels)) else ResolutionBinning())
-        pc, tc = [], []
-        for k in keys:
-            t, p = truth[k], pred[k]
-            if t is None or t <= 0 or p is None:
-                continue
-            pc.append(binning.classify(int(float(p))) if _is_number(p)
-                      else p)
-            tc.append(binning.classify(int(t)))
-        cm = resolution_confusion(pc, tc, binning)
+        binning = (binning_for_heights([t for t in truth if t > 0])
+                   if all(map(_is_number, pred)) else ResolutionBinning())
+        # a pair counts when the true height is known and the prediction is
+        # not nan (the only value unequal to itself)
+        pairs = [(p, t) for p, t in zip(pred, truth) if t > 0 and p == p]
+        cm = resolution_confusion(
+            [binning.classify(int(float(p))) if _is_number(p) else p
+             for p, _ in pairs], [binning.classify(t) for _, t in pairs],
+            binning)
         doc = {"metric": "resolution", "classes": cm.classes,
                "counts": cm.counts, "row_percent": cm.row_percent,
                "row_totals": cm.row_totals, "accuracy": cm.accuracy()}
     else:
-        report = evaluate_metric([pred[k] for k in keys],
-                                 [truth[k] for k in keys], args.metric,
-                                 tolerances=args.tol)
-        doc = report.to_dict()
+        doc = evaluate_metric(pred, truth, args.metric,
+                              tolerances=args.tol).to_dict()
     _json_out(doc, args.output)
     return 0
 
@@ -410,7 +417,6 @@ def build_parser():
     p.add_argument("--vmin", type=int, default=500)
     p.add_argument("--theta-iat", type=float, default=3.0)
     p.add_argument("--truth", help="truth CSV for single-file input")
-    p.add_argument("--vca", default="")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("train", help="fit a random forest on a feature CSV")

@@ -24,19 +24,14 @@ class UnknownClass(EvalError):
 
 
 def _paired(pred, truth):
-    """Drop pairs where either side is missing (None/nan)."""
+    """Both sides as float64 arrays (None and numeric strings convert),
+    less the pairs where either side is missing (None/nan)."""
     if len(pred) != len(truth):
         raise EvalError(f"length mismatch {len(pred)} != {len(truth)}")
-    p, t = [], []
-    for a, b in zip(pred, truth):
-        if a is None or b is None:
-            continue
-        a, b = float(a), float(b)
-        if np.isnan(a) or np.isnan(b):
-            continue
-        p.append(a)
-        t.append(b)
-    return np.asarray(p), np.asarray(t)
+    p = np.array(pred, dtype=np.float64)
+    t = np.array(truth, dtype=np.float64)
+    keep = ~(np.isnan(p) | np.isnan(t))
+    return p[keep], t[keep]
 
 
 def mae(pred, truth):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .session import MICROS_PER_S, QoeWindow
+from .session import MICROS_PER_S, NO_HEIGHT, WindowTable
 
 MIN_FRAMES_FOR_JITTER = 3
 
@@ -100,10 +100,11 @@ def session_windows(session, w=1):
 
 def window_series(end_us, size_bytes, w, span_us):
     """Per-window QoE estimates from frame end times and sizes (int64
-    arrays): {window_start: QoeWindow} over the windows of window_segments,
-    so frame-free windows in span_us=(first, last) report zero. w is a
-    positive whole number of seconds (whole_seconds). Resolution is never
-    estimated by this method.
+    arrays): a WindowTable of the windows of window_segments, so frame-free
+    windows in span_us=(first, last) report zero. Jitter is nan in a
+    window with fewer than MIN_FRAMES_FOR_JITTER frames. w is a positive
+    whole number of seconds (whole_seconds). Resolution is never estimated
+    by this method: every frame_height is NO_HEIGHT.
     """
     order = np.argsort(end_us, kind="stable")
     end_us = end_us[order]
@@ -112,11 +113,10 @@ def window_series(end_us, size_bytes, w, span_us):
     bytes_in = segment_sums(size_bytes[order], first, stop)
     # gaps[i - 1] is the gap ending at frame i, counted in frame i's window
     timed = np.flatnonzero(counts >= MIN_FRAMES_FOR_JITTER)
-    jitter = segment_stats(np.diff(end_us), np.maximum(first[timed], 1) - 1,
-                           stop[timed] - 1, ("std",))[:, 0] / 1000.0
-    jitter = dict(zip(timed.tolist(), jitter.tolist()))
-    return {k: QoeWindow(window_start=k, duration_s=float(w), fps=fps,
-                         bitrate_kbps=kbps, frame_jitter_ms=jitter.get(i))
-            for i, (k, fps, kbps) in enumerate(zip(
-                keys, (counts / w).tolist(),
-                (bytes_in * 8.0 / w / 1000.0).tolist()))}
+    jitter = np.full(len(keys), np.nan)
+    jitter[timed] = segment_stats(
+        np.diff(end_us), np.maximum(first[timed], 1) - 1, stop[timed] - 1,
+        ("std",))[:, 0] / 1000.0
+    return WindowTable(np.array(keys, dtype=np.int64), counts / w,
+                       bytes_in * 8.0 / w / 1000.0, jitter,
+                       np.full(len(keys), NO_HEIGHT))

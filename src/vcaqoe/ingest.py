@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
-import math
 import mmap
 import os
 import socket
@@ -21,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .session import (MICROS_PER_S, NO_CLASS, NO_RTP, RTP_FIXED_HEADER_LEN,
-                      PacketColumns, QoeWindow, RecordFields, Session,
-                      _addresses)
+from .session import (MICROS_PER_S, NO_CLASS, NO_HEIGHT, NO_RTP,
+                      RTP_FIXED_HEADER_LEN, PacketColumns, RecordFields,
+                      Session, WindowTable, _addresses)
 
 # Address cells are read as bytes, one wider than the longest dotted quad:
 # np.loadtxt cuts a longer cell to the field's width, and a cut cell is
@@ -84,8 +83,7 @@ class DuplicateSecond(IngestError):
 
 @dataclass
 class GroundTruthSeries:
-    session_id: str
-    rows: list  # QoeWindow, strictly increasing window_start
+    rows: WindowTable  # strictly increasing window_start
 
 
 def read_pcap(path, session_id=None, vca_label=""):
@@ -507,35 +505,33 @@ def write_packet_csv(session, path):
         cols.rtp_marker.tolist(), f.rtp_ssrc.tolist()))
 
 
-def read_ground_truth_csv(path, session_id=None):
-    """Read the per-second QoE ground-truth CSV. frame_height=-1 means
-    unknown; nan for any missing float metric."""
+def read_ground_truth_csv(path):
+    """Read the per-second QoE ground-truth CSV. nan marks a missing float
+    metric, and a negative frame_height (the schema writes -1) an unknown
+    height, read as NO_HEIGHT."""
     rows = read_csv_rows(path, TRUTH_ROW_DTYPE)
     rows = rows[np.argsort(rows["t_sec"], kind="stable")]
     repeated = rows["t_sec"][1:][np.diff(rows["t_sec"]) == 0]
     if len(repeated):
         raise DuplicateSecond(f"{path}: t_sec={repeated[0]} repeated")
-    windows = [QoeWindow(t, 1.0, *(None if math.isnan(v) else v
-                                   for v in (fps, br, jit)),
-                         None if height < 0 else height)
-               for t, fps, br, jit, height in rows.tolist()]
-    sid = session_id or os.path.splitext(os.path.basename(path))[0]
-    return GroundTruthSeries(sid, windows)
+    return GroundTruthSeries(WindowTable(
+        rows["t_sec"], rows["fps"], rows["bitrate_kbps"],
+        rows["frame_jitter_ms"], np.maximum(rows["frame_height"], NO_HEIGHT)))
 
 
-def truth_cells(row):
-    """A QoeWindow's metric cells in the ground-truth CSV schema."""
-    def fmt(v):
-        return "nan" if v is None else f"{v:.6f}"
-    return [fmt(row.fps), fmt(row.bitrate_kbps), fmt(row.frame_jitter_ms),
-            -1 if row.frame_height is None else row.frame_height]
+def truth_cells(table):
+    """Each row's metric cells in the ground-truth CSV schema, as one
+    comma-joined string per row; nan prints as nan."""
+    return list(map("{:.6f},{:.6f},{:.6f},{}".format, table.fps.tolist(),
+                    table.bitrate_kbps.tolist(),
+                    table.frame_jitter_ms.tolist(),
+                    table.frame_height.tolist()))
 
 
-def write_ground_truth_csv(rows, path):
-    """Write QoeWindow rows in the ground-truth CSV schema."""
-    _atomic_write_csv(path, TRUTH_CSV_HEADER, [
-        [r.window_start] + truth_cells(r)
-        for r in sorted(rows, key=lambda r: r.window_start)])
+def write_ground_truth_csv(table, path):
+    """Write a WindowTable in the ground-truth CSV schema."""
+    _atomic_write_lines(path, TRUTH_CSV_HEADER, map(
+        "{},{}".format, table.window_start.tolist(), truth_cells(table)))
 
 
 def _atomic_write_bytes(path, blob):

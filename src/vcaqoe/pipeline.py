@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .assembly import IpUdpAssemblyParams, ipudp_frame_table, rtp_frame_table
 from .classify import PayloadTypeMap, SizeThreshold
 from .heuristics import session_windows, whole_seconds, window_series
@@ -15,9 +17,9 @@ def analyze_session(session, method="ipudp", params=None, threshold=None,
 
     method "ipudp": size-threshold classification + size-difference
     assembly; method "rtp": payload-type classification + RTP-timestamp
-    grouping. Returns {window_start: QoeWindow}, the window_series of the
-    frames over the session's span. w is a positive whole number of
-    seconds (whole_seconds).
+    grouping. Returns a WindowTable, the window_series of the frames over
+    the session's span. w is a positive whole number of seconds
+    (whole_seconds).
     """
     if method not in ("ipudp", "rtp"):
         raise ValueError(f"unknown method {method!r}")
@@ -36,17 +38,13 @@ def analyze_session(session, method="ipudp", params=None, threshold=None,
     return window_series(frames.end_us, frames.size_bytes, w, span)
 
 
-def paired_metric(est_series, truth_rows, metric, session=None, w=1):
-    """(pred, truth) lists for one metric over shared windows.
-
-    truth_rows: QoeWindow list keyed by window_start. When a session is
-    given, only its session_windows count.
-    """
-    truth_by_key = {r.window_start: r for r in truth_rows}
-    keys = sorted(set(est_series) & set(truth_by_key))
+def paired_metric(est, truth, metric, session=None, w=1):
+    """(pred, truth) lists of one WindowTable column over the windows both
+    tables hold, in window order. When a session is given, only its
+    session_windows count."""
+    keys, i, j = np.intersect1d(est.window_start, truth.window_start,
+                                assume_unique=True, return_indices=True)
     if session is not None:
-        windows = session_windows(session, w)
-        keys = [k for k in keys if k in windows]
-    pred = [getattr(est_series[k], metric) for k in keys]
-    truth = [getattr(truth_by_key[k], metric) for k in keys]
-    return pred, truth
+        keep = np.isin(keys, session_windows(session, w))
+        i, j = i[keep], j[keep]
+    return getattr(est, metric)[i].tolist(), getattr(truth, metric)[j].tolist()

@@ -1,4 +1,4 @@
-"""Core domain types: packets, RTP headers, sessions, QoE windows.
+"""Core domain types: packets, RTP headers, sessions, per-window tables.
 
 All timestamps are carried internally as 64-bit microsecond integers and
 converted to float seconds only at API edges, so window assignment never
@@ -19,6 +19,7 @@ import numpy as np
 MICROS_PER_S = 1_000_000
 RTP_FIXED_HEADER_LEN = 12
 NO_RTP = -1     # RTP column value for a packet without an RTP header
+NO_HEIGHT = -1  # frame_height of a window whose height is unknown
 
 
 class RtpError(ValueError):
@@ -130,7 +131,7 @@ def _column(items, name, dtype=np.int64):
 
 
 class _Rows:
-    """Equal-length columns of a dataclass, one row per packet."""
+    """Equal-length columns of a dataclass, one row per packet or window."""
 
     def __len__(self):
         return len(getattr(self, fields(self)[0].name))
@@ -276,11 +277,14 @@ class Session:
         return [p for p in self.packets if p.media_class is MediaClass.VIDEO]
 
 
-@dataclass
-class QoeWindow:
-    window_start: int
-    duration_s: float = 1.0
-    fps: Optional[float] = None
-    bitrate_kbps: Optional[float] = None
-    frame_jitter_ms: Optional[float] = None
-    frame_height: Optional[int] = None
+@dataclass(frozen=True)
+class WindowTable(_Rows):
+    """Per-window values as columns, one row per window in increasing
+    window_start order, in the ground-truth CSV schema: fps, bitrate_kbps
+    and frame_jitter_ms are float64 with nan for a missing value, and
+    frame_height is int64 with NO_HEIGHT for one."""
+    window_start: np.ndarray
+    fps: np.ndarray
+    bitrate_kbps: np.ndarray
+    frame_jitter_ms: np.ndarray
+    frame_height: np.ndarray

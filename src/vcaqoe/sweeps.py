@@ -29,8 +29,7 @@ def _fps_mae(corpus, assembly_params=None, w=1):
     pred, truth = [], []
     for session, truth_series, frame_log in corpus:
         if w != 1:
-            truth_series = truth_from_frame_log(frame_log,
-                                                session.session_id, w=w)
+            truth_series = truth_from_frame_log(frame_log, w=w)
         est = analyze_session(session, "ipudp", assembly_params, w=w)
         p, t = paired_metric(est, truth_series.rows, "fps", session, w=w)
         pred += p

@@ -217,9 +217,7 @@ def generate(profile: SenderProfile, duration_s: float, seed: int,
     short = sizes // n_pkts < MIN_PACKET_MEDIA
     sizes[short] = MIN_PACKET_MEDIA * n_pkts[short]
     if profile.separable:
-        # the widening looks back at most 8 frames, however deep
-        # separable_depth is
-        sizes = _separate(sizes, n_pkts, min(profile.separable_depth, 8))
+        sizes = _separate(sizes, n_pkts, profile.separable_depth)
     counts, index, media = _fragments(sizes, profile.max_payload)
     complete_us = emit_us + (n_pkts - 1) * INTRA_FRAME_GAP_US
 
@@ -243,6 +241,8 @@ def generate(profile: SenderProfile, duration_s: float, seed: int,
     rows = np.concatenate(parts, axis=1)
     rows = rows[:, np.argsort(rows[0], kind="stable")]
     n = rows.shape[1]
+    if not n:
+        raise InvalidProfile(f"no packet is sent in {duration_s} s")
     sid = session_id or f"synth-{seed}"
     session = Session(sid, vca_label, columns=PacketColumns(
         *rows[:6], np.full(n, NO_CLASS)), fields=RecordFields(
@@ -252,21 +252,20 @@ def generate(profile: SenderProfile, duration_s: float, seed: int,
     frame_log = list(map(FrameLogEntry, frame.tolist(), emit_us.tolist(),
                          complete_us.tolist(), sizes.tolist(),
                          rtp_ts.tolist()))
-    truth = truth_from_frame_log(frame_log, sid, first_us=int(rows[0, 0]),
+    truth = truth_from_frame_log(frame_log, first_us=int(rows[0, 0]),
                                  last_us=int(rows[0, -1]))
     return session, truth, frame_log
 
 
-def truth_from_frame_log(frame_log, session_id="synth", w=1,
-                         first_us=None, last_us=None):
+def truth_from_frame_log(frame_log, w=1, first_us=None, last_us=None):
     """Exact per-window ground truth from the emitted frame log.
 
     The window_series of the frames' completion times and media bytes over
     (first_us, last_us): fps counts frames completing in the window,
     bitrate sums their media bytes, and jitter, missing for windows with
     fewer than 3 frames, is the population stddev of completion gaps. Frame
-    height follows the bitrate tier in windows with frames. w must be a
-    positive whole number of seconds (whole_seconds).
+    height follows the bitrate tier (HEIGHT_TIERS) in windows with frames.
+    w must be a positive whole number of seconds (whole_seconds).
     """
     w = whole_seconds(w)
     if first_us is None:
@@ -274,16 +273,14 @@ def truth_from_frame_log(frame_log, session_id="synth", w=1,
     if last_us is None:
         last_us = frame_log[-1].complete_us
     n = len(frame_log)
-    series = window_series(
+    table = window_series(
         np.fromiter((f.complete_us for f in frame_log), np.int64, n),
         np.fromiter((f.media_bytes for f in frame_log), np.int64, n),
         w, span_us=(first_us, last_us))
-    rows = list(series.values())
-    for row in rows:
-        if row.fps > 0:
-            row.frame_height = next(h for edge, h in HEIGHT_TIERS
-                                    if row.bitrate_kbps <= edge)
-    return GroundTruthSeries(session_id, rows)
+    edges, heights = zip(*HEIGHT_TIERS)
+    tier = np.searchsorted(edges, table.bitrate_kbps)   # first edge >= kbps
+    return GroundTruthSeries(replace(table, frame_height=np.where(
+        table.fps > 0, np.array(heights)[tier], table.frame_height)))
 
 
 def impair(session, profile: ImpairmentProfile, seed, ptmap=None):

@@ -119,6 +119,80 @@ def test_feature_bytes_are_pinned(tmp_path, corpus):
     assert got == FEATURE_DIGESTS
 
 
+@pytest.fixture(scope="module")
+def impaired(tmp_path_factory):
+    """The impaired corpus of test_feature_bytes_are_pinned."""
+    root = tmp_path_factory.mktemp("impaired")
+    assert run(["synth", "--sessions", "2", "--duration", "8", "--jitter",
+                "20", "--loss", "2", "--retransmit", "--seed", "7",
+                "-o", str(root)]) == 0
+    return root
+
+
+# sha256 of the analyze outputs of synth-7 then synth-8, concatenated
+ANALYZE_DIGESTS = {
+    ("ipudp", "1"):
+        "504b412ec9767ea3bf5cd6aa324b8d0d0db921c90ec15077d5b47a1f6409b1fc",
+    ("ipudp", "2"):
+        "f576884a66de1866d824a66a3c234874607f4fa0afce09147ec5edbdea00d2f8",
+    ("rtp", "1"):
+        "46051bca3a6c41fda5a4a70e1c2604f3304f6df190c3544342e9fb6a38df97e6",
+    ("rtp", "2"):
+        "a8ecf30251cd35310e11a42c9661e303f5e34b1442764c87bc4e60572940356b",
+}
+
+
+def test_analyze_bytes_are_pinned(tmp_path, impaired):
+    got = {}
+    for method, window in ANALYZE_DIGESTS:
+        digest = hashlib.sha256()
+        for stem in ("synth-7", "synth-8"):
+            out = tmp_path / f"{stem}-{method}-{window}.csv"
+            assert run(["analyze", str(impaired / f"{stem}.packets.csv"),
+                        "--method", method, "--window", window,
+                        "-o", str(out)]) == 0
+            digest.update(out.read_bytes())
+        got[method, window] = digest.hexdigest()
+    assert got == ANALYZE_DIGESTS
+
+
+# sha256 of evaluate's JSON for synth-7: (metric, what made the PRED file)
+EVALUATE_DIGESTS = {
+    ("fps", "analyze"):
+        "0679f59b44662dacbdc37c0ea1089912aee820409d5270e4de00a7107e60f529",
+    ("jitter", "analyze"):
+        "bb557c4a0de9dcb465af7155ad579ff4697d12691dc6e24321a9c06c496ad490",
+    ("fps", "predict"):
+        "a70187c53db9bb25b6eb80d99144ec143849f4552e1f33d5cd5783f19a58392f",
+    ("resolution", "predict"):
+        "e32ede552d4f38b62a801cb642f17f543e74a01e0839f213d4ab3d37bf29d86c",
+}
+
+
+def test_evaluate_bytes_are_pinned(tmp_path, impaired):
+    est = tmp_path / "est.csv"
+    assert run(["analyze", str(impaired / "synth-7.packets.csv"),
+                "-o", str(est)]) == 0
+    feats = tmp_path / "features.csv"
+    assert run(["features", str(impaired), "-o", str(feats)]) == 0
+    pred_of = {"analyze": est}
+    for target in ("fps", "resolution"):
+        model, preds = tmp_path / f"{target}.json", tmp_path / f"{target}.csv"
+        assert run(["train", str(feats), "--target", target, "--trees", "5",
+                    "-o", str(model)]) == 0
+        assert run(["predict", str(model), str(feats), "-o", str(preds)]) == 0
+        pred_of[target] = preds
+    got = {}
+    for metric, source in EVALUATE_DIGESTS:
+        pred = pred_of[metric if source == "predict" else source]
+        report = tmp_path / f"{metric}-{source}.json"
+        assert run(["evaluate", str(pred), str(impaired / "synth-7.truth.csv"),
+                    "--metric", metric, "--tol", "1", "--tol", "2",
+                    "-o", str(report)]) == 0
+        got[metric, source] = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert got == EVALUATE_DIGESTS
+
+
 def test_resolution_training(tmp_path, corpus):
     feats = tmp_path / "features.csv"
     assert run(["features", str(corpus), "-o", str(feats)]) == 0
@@ -259,6 +333,55 @@ def test_evaluate_resolution_class_labels(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["classes"] == ["low", "medium", "high"]
     assert doc["accuracy"] == pytest.approx(2 / 3)
+
+
+def test_evaluate_reads_truth_as_a_truth_csv_only(tmp_path, capsys):
+    preds = tmp_path / "synth-1.csv"
+    preds.write_text("session_id,window_start,prediction\n"
+                     "synth-1,10,30\nsynth-1,11,720\n")
+    for metric in ("fps", "resolution"):
+        assert run(["evaluate", str(preds), str(preds),
+                    "--metric", metric]) == 1
+        err = capsys.readouterr().err
+        assert str(preds) in err and "line 1" in err and "header" in err
+
+
+def test_evaluate_repeated_prediction_window_is_an_input_error(tmp_path,
+                                                              capsys):
+    truth = tmp_path / "call.truth.csv"
+    truth.write_text("t_sec,fps,bitrate_kbps,frame_jitter_ms,frame_height\n"
+                     "10,30,800,1,720\n11,30,800,1,720\n")
+    preds = tmp_path / "preds.csv"
+    preds.write_text("session_id,window_start,prediction\n"
+                     "call,10,29\nother,11,1\nother,11,2\ncall,11,28\n")
+    assert run(["evaluate", str(preds), str(truth)]) == 0
+    preds.write_text(preds.read_text() + "call,10,31\n")
+    assert run(["evaluate", str(preds), str(truth)]) == 1
+    err = capsys.readouterr().err
+    assert str(preds) in err and "window_start=10 repeated" in err
+
+
+def test_evaluate_truth_schema_pred_unknown_height_is_missing(tmp_path):
+    header = "t_sec,fps,bitrate_kbps,frame_jitter_ms,frame_height\n"
+    truth = tmp_path / "call.truth.csv"
+    truth.write_text(header + "10,30,800,1,180\n11,30,800,1,720\n"
+                     "12,30,800,1,360\n")
+    est = tmp_path / "est.csv"
+    est.write_text(header + "10,30,800,1,180\n11,30,800,1,-1\n"
+                   "12,30,800,1,-7\n")
+    report = tmp_path / "res.json"
+    assert run(["evaluate", str(est), str(truth), "--metric", "resolution",
+                "-o", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["classes"] == ["180"] and doc["row_totals"] == [1]
+
+
+def test_synth_that_sends_no_packet_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert run(["synth", "--fps", "0.4", "--audio-pps", "0", "--duration",
+                "2", "-o", str(out)]) == 1
+    assert "no packet" in capsys.readouterr().err
+    assert not os.listdir(out)
 
 
 def test_trees_below_one_is_an_input_error(tmp_path, corpus):

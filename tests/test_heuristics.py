@@ -1,3 +1,7 @@
+import math
+import types
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -27,6 +31,14 @@ def series_of(frames, w=1, span_us=None):
     return window_series(end_us, size_bytes, w, span_us)
 
 
+def at(series, start):
+    """The row of a WindowTable whose window starts at start, as a
+    namespace of its values."""
+    i = series.window_start.tolist().index(start)
+    return types.SimpleNamespace(**{f.name: getattr(series, f.name)[i].item()
+                                    for f in fields(series)})
+
+
 def table_series(table):
     """window_series of a FrameTable over the span of its frame ends."""
     return window_series(table.end_us, table.size_bytes, 1,
@@ -36,34 +48,34 @@ def table_series(table):
 def test_frame_rate_counts_window_ends():
     frames = frames_at_fps(30, 100_000_000, 60)
     series = series_of(frames, span_us=(99_000_000, 101_999_999))
-    assert series[100].fps == 30.0
-    assert series[101].fps == 30.0
-    assert series[99].fps == 0.0
+    assert at(series, 100).fps == 30.0
+    assert at(series, 101).fps == 30.0
+    assert at(series, 99).fps == 0.0
 
 
 def test_bitrate_example():
     # 30 frames of 1000 bytes in one second -> 240 kbps
     frames = frames_at_fps(30, 100_000_000, 30, size=1000)
     series = series_of(frames, span_us=(99_000_000, 100_999_999))
-    assert series[100].bitrate_kbps == pytest.approx(240.0)
-    assert series[99].bitrate_kbps == 0.0
+    assert at(series, 100).bitrate_kbps == pytest.approx(240.0)
+    assert at(series, 99).bitrate_kbps == 0.0
 
 
 def test_jitter_hand_example():
     # gaps 30 ms and 50 ms -> population stddev 10 ms
     frames = [frame(100_000_000), frame(100_030_000), frame(100_080_000)]
-    assert series_of(frames)[100].frame_jitter_ms == pytest.approx(10.0)
+    assert at(series_of(frames), 100).frame_jitter_ms == pytest.approx(10.0)
 
 
 def test_jitter_uniform_spacing_is_exact_zero():
     frames = frames_at_fps(25, 100_000_000, 75)
     series = series_of(frames)
-    assert series[101].frame_jitter_ms == 0.0
+    assert at(series, 101).frame_jitter_ms == 0.0
 
 
 def test_jitter_missing_below_three_frames():
     frames = [frame(100_000_000), frame(100_030_000)]
-    assert series_of(frames)[100].frame_jitter_ms is None
+    assert math.isnan(at(series_of(frames), 100).frame_jitter_ms)
 
 
 def test_straddling_gap_belongs_to_later_window():
@@ -73,30 +85,30 @@ def test_straddling_gap_belongs_to_later_window():
               frame(101_090_000)]
     series = series_of(frames)
     gaps_ms = np.array([30_000, 30_000, 40_000], dtype=np.int64)
-    assert series[101].frame_jitter_ms == pytest.approx(
+    assert at(series, 101).frame_jitter_ms == pytest.approx(
         float(np.std(gaps_ms)) / 1000.0)
 
 
 def test_series_covers_gap_windows():
     frames = [frame(100_000_000), frame(103_500_000)]
     series = series_of(frames)
-    assert sorted(series) == [100, 101, 102, 103]
-    assert series[101].fps == 0.0
-    assert series[101].bitrate_kbps == 0.0
-    assert series[101].frame_jitter_ms is None
+    assert series.window_start.tolist() == [100, 101, 102, 103]
+    assert at(series, 101).fps == 0.0
+    assert at(series, 101).bitrate_kbps == 0.0
+    assert math.isnan(at(series, 101).frame_jitter_ms)
 
 
 def test_series_span_extends_coverage():
     frames = [frame(101_000_000)]
     series = series_of(frames, span_us=(99_500_000, 102_200_000))
-    assert sorted(series) == [99, 100, 101, 102]
-    assert series[99].fps == 0.0 and series[101].fps == 1.0
+    assert series.window_start.tolist() == [99, 100, 101, 102]
+    assert at(series, 99).fps == 0.0 and at(series, 101).fps == 1.0
 
 
 def test_series_empty():
     s = series_of([], span_us=(100_000_000, 101_000_000))
-    assert sorted(s) == [100, 101]
-    assert all(v.fps == 0.0 for v in s.values())
+    assert s.window_start.tolist() == [100, 101]
+    assert (s.fps == 0.0).all()
 
 
 def test_fps_conservation():
@@ -105,8 +117,8 @@ def test_fps_conservation():
     session = classify_by_payload_type(session)
     frames = assemble_rtp(session.video_packets())
     series = table_series(frames)
-    assert sum(v.fps for v in series.values()) == len(frames)
-    total_bits = sum(v.bitrate_kbps * 1000.0 for v in series.values())
+    assert series.fps.sum() == len(frames)
+    total_bits = (series.bitrate_kbps * 1000.0).sum()
     assert total_bits == pytest.approx(frames.size_bytes.sum() * 8)
 
 
@@ -114,13 +126,12 @@ def test_series_matches_generator_truth_on_clean_trace():
     session, truth, _log = generate(SenderProfile(fps=25.0), 20.0, seed=8)
     session = classify_by_payload_type(session)
     series = table_series(assemble_rtp(session.video_packets()))
-    interior = truth.rows[1:-1]
-    for row in interior:
-        est = series[row.window_start]
+    for start in truth.rows.window_start[1:-1].tolist():
+        row, est = at(truth.rows, start), at(series, start)
         assert est.fps == pytest.approx(row.fps)
         assert est.bitrate_kbps == pytest.approx(row.bitrate_kbps)
-        if row.frame_jitter_ms is None:
-            assert est.frame_jitter_ms is None
+        if math.isnan(row.frame_jitter_ms):
+            assert math.isnan(est.frame_jitter_ms)
         else:
             assert est.frame_jitter_ms == pytest.approx(row.frame_jitter_ms,
                                                         abs=1e-6)
@@ -142,9 +153,11 @@ def test_two_second_windows_are_unchanged():
     assert session_windows(session, 1) == range(1700000001, 1700000007)
     assert session_windows(session, 2) == range(1700000002, 1700000006, 2)
     assert session_windows(session, 2.0) == session_windows(session, 2)
-    assert [(r.window_start, r.fps, r.bitrate_kbps, r.frame_height,
-             r.duration_s) for r in truth_from_frame_log(log, w=2).rows] == [
-        (1700000000, 27.0, 722.84, 360, 2.0),
-        (1700000002, 30.0, 806.276, 360, 2.0),
-        (1700000004, 30.0, 801.552, 360, 2.0),
-        (1700000006, 3.0, 80.324, 180, 2.0)]
+    rows = truth_from_frame_log(log, w=2).rows
+    assert list(zip(rows.window_start.tolist(), rows.fps.tolist(),
+                    rows.bitrate_kbps.tolist(),
+                    rows.frame_height.tolist())) == [
+        (1700000000, 27.0, 722.84, 360),
+        (1700000002, 30.0, 806.276, 360),
+        (1700000004, 30.0, 801.552, 360),
+        (1700000006, 3.0, 80.324, 180)]

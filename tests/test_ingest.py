@@ -10,7 +10,8 @@ from vcaqoe.ingest import (BadHeader, BadMagic, BadRow, DuplicateSecond,
                            IngestError, Truncated, read_ground_truth_csv,
                            read_packet_csv, read_pcap, write_ground_truth_csv,
                            write_packet_csv, write_pcap)
-from vcaqoe.session import PacketRecord, QoeWindow, RtpHeader, Session
+from vcaqoe.session import (NO_HEIGHT, PacketRecord, RtpHeader, Session,
+                            WindowTable)
 from vcaqoe.synth import SenderProfile, generate
 
 
@@ -441,7 +442,7 @@ def test_ground_truth_csv(tmp_path):
     p.write_text("\n".join(lines) + "\n")
     g = read_ground_truth_csv(str(p))
     assert len(g.rows) == 10
-    assert g.rows[0].window_start == 100 and g.rows[0].frame_height == 720
+    assert g.rows.window_start[0] == 100 and g.rows.frame_height[0] == 720
 
 
 def test_ground_truth_duplicate_second(tmp_path):
@@ -457,8 +458,8 @@ def test_ground_truth_missing_height(tmp_path):
     p.write_text("t_sec,fps,bitrate_kbps,frame_jitter_ms,frame_height\n"
                  "100,30,800,nan,-1\n")
     g = read_ground_truth_csv(str(p))
-    assert g.rows[0].frame_height is None
-    assert g.rows[0].frame_jitter_ms is None
+    assert g.rows.frame_height[0] == NO_HEIGHT
+    assert np.isnan(g.rows.frame_jitter_ms[0])
 
 
 def test_pcap_csv_same_session(tmp_path):
@@ -481,14 +482,13 @@ def test_pcap_csv_same_session(tmp_path):
 
 
 def test_truth_csv_roundtrip(tmp_path):
-    rows = [QoeWindow(window_start=5, fps=30.0, bitrate_kbps=812.5,
-                      frame_jitter_ms=None, frame_height=720),
-            QoeWindow(window_start=6, fps=29.0, bitrate_kbps=800.0,
-                      frame_jitter_ms=2.25, frame_height=None)]
+    rows = WindowTable(np.array([5, 6]), np.array([30.0, 29.0]),
+                       np.array([812.5, 800.0]), np.array([np.nan, 2.25]),
+                       np.array([720, NO_HEIGHT]))
     p = tmp_path / "t.csv"
     write_ground_truth_csv(rows, str(p))
     back = read_ground_truth_csv(str(p))
-    assert back.rows[0].frame_jitter_ms is None
-    assert back.rows[0].frame_height == 720
-    assert back.rows[1].frame_height is None
-    assert back.rows[1].frame_jitter_ms == pytest.approx(2.25)
+    assert np.isnan(back.rows.frame_jitter_ms[0])
+    assert back.rows.frame_height[0] == 720
+    assert back.rows.frame_height[1] == NO_HEIGHT
+    assert back.rows.frame_jitter_ms[1] == pytest.approx(2.25)

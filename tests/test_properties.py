@@ -22,13 +22,15 @@ from vcaqoe.features import (RTP_FEATURE_NAMES, SemanticParams,
                              session_feature_rows)
 from vcaqoe.forest import (RandomForestClassifier, RandomForestRegressor,
                            _best_splits, _column_ranks)
-from vcaqoe.heuristics import segment_stats, window_series
-from vcaqoe.ingest import (read_packet_csv, read_pcap, write_packet_csv,
+from vcaqoe.heuristics import segment_stats, session_windows, window_series
+from vcaqoe.ingest import (read_ground_truth_csv, read_packet_csv, read_pcap,
+                           write_ground_truth_csv, write_packet_csv,
                            write_pcap)
-from vcaqoe.pipeline import analyze_session
-from vcaqoe.session import (NO_CLASS, RTP_FIXED_HEADER_LEN, MediaClass,
-                            PacketColumns, PacketRecord, RecordFields,
-                            RtpError, RtpHeader, Session, parse_rtp_header)
+from vcaqoe.pipeline import analyze_session, paired_metric
+from vcaqoe.session import (NO_CLASS, NO_HEIGHT, RTP_FIXED_HEADER_LEN,
+                            MediaClass, PacketColumns, PacketRecord,
+                            RecordFields, RtpError, RtpHeader, Session,
+                            WindowTable, parse_rtp_header)
 from vcaqoe.synth import (DST, INTRA_FRAME_GAP_US, MIN_PACKET_MEDIA,
                           SEPARATION_MARGIN, SRC, FrameLogEntry,
                           ImpairmentProfile, SenderProfile, generate, impair,
@@ -92,12 +94,20 @@ def test_analyze_session_equals_object_path(profile, impairment, seed, w,
     t = assemble_ipudp(video, params)
     expected = window_series(t.end_us, t.size_bytes, w, span)
     got = analyze_session(session, "ipudp", params, threshold, w=w)
-    assert got == expected
+    assert_same_columns(got, expected)
 
     video = classify_by_payload_type(session).video_packets()
     t = assemble_rtp(video)
     expected = window_series(t.end_us, t.size_bytes, w, span)
-    assert analyze_session(session, "rtp", w=w) == expected
+    assert_same_columns(analyze_session(session, "rtp", w=w), expected)
+
+
+def assert_same_columns(a, b):
+    """Equal columns of two column tables, dtypes too; nan equals nan."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype, f.name
+        np.testing.assert_array_equal(x, y, err_msg=f.name)
 
 
 def without_rtp(session):
@@ -664,8 +674,6 @@ def reference_generate(profile, duration_s, seed, session_id=None,
         base, rem = divmod(size, n_sent)
         chunks = [base + 1 if j < rem else base for j in range(n_sent)]
         recent_chunks.append(chunk)
-        if len(recent_chunks) > 8:
-            recent_chunks = recent_chunks[-8:]
 
         rtp_ts = int(round(i * profile.rtp_ts_increment)) & 0xFFFFFFFF
         for j, media in enumerate(chunks):
@@ -697,7 +705,7 @@ def reference_generate(profile, duration_s, seed, session_id=None,
         np.full(n, SRC[0]), np.full(n, DST[0]), rows[6], np.full(n, DST[1]),
         rows[7], np.full(n, 0x80), np.full(n, RTP_FIXED_HEADER_LEN),
         np.empty(n, object)))
-    truth = truth_from_frame_log(frame_log, sid, first_us=int(rows[0, 0]),
+    truth = truth_from_frame_log(frame_log, first_us=int(rows[0, 0]),
                                  last_us=int(rows[0, -1]))
     return session, truth, frame_log
 
@@ -711,7 +719,7 @@ def assert_same_generated(got, expected):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert x.dtype == y.dtype and x.tolist() == y.tolist(), f.name
     assert log == ref_log
-    assert truth == ref_truth
+    assert_same_columns(truth.rows, ref_truth.rows)
 
 
 # every frame at 3600 bytes with 1200-byte packets: the widening takes
@@ -744,8 +752,8 @@ generator_profiles = st.builds(
 @example(profile=SenderProfile(keyframe_interval=5, max_payload=200,
                                bitrate_kbps=2500.0, fps=10.0),
          duration_s=4.0, seed=2)
-# equal sizes widen in a cycle of separable_depth + 1 chunks, but the
-# widening looks back at most 8 frames
+# equal sizes widen in a cycle of separable_depth + 1 chunks: frame 9 must
+# be kept apart from frame 0, 9 frames back and within the depth of 10
 @example(profile=SenderProfile(frame_size_jitter=0.0, separable_depth=10),
          duration_s=2.0, seed=3)
 def test_generate_equals_per_packet_reference(profile, duration_s, seed):
@@ -763,3 +771,70 @@ def test_reference_widens_frames_past_their_packet_count():
     per_frame = np.unique(cols.rtp_ts[video], return_counts=True)[1]
     assert set(per_frame.tolist()) == {3, 4}
     assert cols.rtp_marker[video].sum() == len(log)
+
+
+# values that "%.6f" writes back unchanged, and nan
+csv_floats = st.one_of(st.just(math.nan), st.integers(-10**9, 10**9).map(
+    lambda n: float(f"{n / 1e6:.6f}")))
+
+
+@st.composite
+def window_tables(draw, starts=st.integers(-2**40, 2**40), max_size=20):
+    """WindowTables with increasing starts; nan and NO_HEIGHT appear."""
+    start = np.array(sorted(draw(st.sets(starts, max_size=max_size))),
+                     dtype=np.int64)
+    n = len(start)
+
+    def floats():
+        return np.array(draw(st.lists(csv_floats, min_size=n, max_size=n)),
+                        dtype=np.float64)
+    return WindowTable(start, floats(), floats(), floats(), np.array(
+        draw(st.lists(st.one_of(st.just(NO_HEIGHT), st.integers(0, 4320)),
+                      min_size=n, max_size=n)), dtype=np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=window_tables())
+def test_truth_csv_round_trips(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = (os.path.join(tmp, name) for name in ("a.csv",
+                                                              "b.csv"))
+        write_ground_truth_csv(table, first)
+        back = read_ground_truth_csv(first).rows
+        assert_same_columns(back, table)
+        write_ground_truth_csv(back, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+
+
+def reference_paired_metric(est, truth, metric, session=None, w=1):
+    """paired_metric as a join of {window_start: row} dicts."""
+    def by_start(table):
+        return {k: getattr(table, metric)[i].item()
+                for i, k in enumerate(table.window_start.tolist())}
+    est, truth = by_start(est), by_start(truth)
+    keys = sorted(set(est) & set(truth))
+    if session is not None:
+        windows = session_windows(session, w)
+        keys = [k for k in keys if k in windows]
+    return [est[k] for k in keys], [truth[k] for k in keys]
+
+
+@settings(max_examples=200, deadline=None)
+@given(est=window_tables(st.integers(0, 30)),
+       truth=window_tables(st.integers(0, 30)),
+       metric=st.sampled_from([f.name for f in fields(WindowTable)]),
+       span_s=st.one_of(st.none(), st.tuples(st.floats(0.0, 30.0),
+                                             st.floats(0.0, 10.0))),
+       w=st.integers(1, 3))
+def test_paired_metric_equals_dict_join(est, truth, metric, span_s, w):
+    session = None
+    if span_s is not None:
+        first, length = span_s
+        arrival_us = np.array([first, first + length]) * 1_000_000
+        columns = [arrival_us.astype(np.int64)] + [np.zeros(2, np.int64)] * 6
+        session = Session("call", "", columns=PacketColumns(*columns))
+    got = paired_metric(est, truth, metric, session, w)
+    expected = reference_paired_metric(est, truth, metric, session, w)
+    assert all(isinstance(side, list) for side in got)
+    np.testing.assert_equal(got, expected)

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -87,15 +88,16 @@ def test_byte_conservation_packets_vs_frame_log():
 
 def test_truth_self_consistency():
     _session, truth, log = generate(SenderProfile(fps=25.0), 12.0, seed=7)
-    interior = truth.rows[1:-1]
+    interior = truth.rows.take(slice(1, -1))
     # frame counts per window reproduce fps rows exactly
-    for row in interior:
-        n = sum(1 for f in log
-                if f.complete_us // 1_000_000 == row.window_start)
-        assert row.fps == n
+    for start, fps, kbps in zip(interior.window_start.tolist(),
+                                interior.fps.tolist(),
+                                interior.bitrate_kbps.tolist()):
+        n = sum(1 for f in log if f.complete_us // 1_000_000 == start)
+        assert fps == n
         b = sum(f.media_bytes for f in log
-                if f.complete_us // 1_000_000 == row.window_start)
-        assert row.bitrate_kbps == pytest.approx(b * 8.0 / 1000.0)
+                if f.complete_us // 1_000_000 == start)
+        assert kbps == pytest.approx(b * 8.0 / 1000.0)
 
 
 def test_truth_height_tiers():
@@ -103,7 +105,7 @@ def test_truth_height_tiers():
         _s, truth, _log = generate(
             SenderProfile(bitrate_kbps=kbps, frame_size_jitter=0.0),
             5.0, seed=8)
-        heights = {r.frame_height for r in truth.rows[1:-1]}
+        heights = set(truth.rows.frame_height[1:-1].tolist())
         assert heights == {expect}
     assert HEIGHT_TIERS[0][1] == 180
 
@@ -111,10 +113,10 @@ def test_truth_height_tiers():
 def test_truth_multisecond_window():
     _s, _t, log = generate(SenderProfile(fps=30.0), 10.0, seed=9)
     truth2 = truth_from_frame_log(log, w=2)
-    assert all(r.window_start % 2 == 0 for r in truth2.rows)
-    interior = truth2.rows[1:-1]
-    assert all(r.fps == pytest.approx(30.0) for r in interior)
-    assert all(r.duration_s == 2.0 for r in interior)
+    assert all(start % 2 == 0
+               for start in truth2.rows.window_start.tolist())
+    assert all(fps == pytest.approx(30.0)
+               for fps in truth2.rows.fps[1:-1].tolist())
 
 
 def test_generation_is_deterministic():
@@ -122,7 +124,8 @@ def test_generation_is_deterministic():
     b, tb, lb = generate(SenderProfile(), 5.0, seed=10)
     c, _tc, _lc = generate(SenderProfile(), 5.0, seed=11)
     assert a.packets == b.packets
-    assert la == lb and ta.rows == tb.rows
+    assert la == lb
+    np.testing.assert_equal(asdict(ta), asdict(tb))
     assert a.packets != c.packets
 
 
