@@ -21,8 +21,7 @@ from .ingest import (GroundTruthSeries, read_ground_truth_csv,
                      read_packet_csv, read_pcap, write_ground_truth_csv,
                      write_packet_csv, write_pcap)
 from .pipeline import analyze_session, paired_metric
-from .session import (MediaClass, PacketRecord, RtpHeader, Session,
-                      WindowTable, parse_rtp_header, serialize_rtp_header)
+from .session import MediaClass, PacketRecord, RtpHeader, Session, WindowTable
 from .synth import (ImpairmentProfile, SenderProfile, generate, impair,
                     truth_from_frame_log)
 

@@ -59,9 +59,6 @@ class PayloadTypeMap:
         default_factory=lambda: dict(TEAMS_LAB_PROFILE))
     keepalive_len: int = KEEPALIVE_LEN
 
-    def lookup(self, payload_type):
-        return self.mapping.get(payload_type, MediaClass.OTHER)
-
     def classify(self, rtp_pt, payload_len):
         """MEDIA_CODE per packet, from int64 columns.
 

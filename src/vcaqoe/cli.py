@@ -6,6 +6,7 @@ import argparse
 import functools
 import glob
 import json
+import math
 import os
 import sys
 
@@ -34,8 +35,8 @@ from .synth import (ImpairmentProfile, SenderProfile, generate, impair,
                     write_frame_log_csv)
 from . import sweeps
 
-# ValueError covers IngestError, InvalidProfile, RtpError,
-# DimensionMismatch and NonFiniteInput
+# ValueError covers IngestError, InvalidProfile, DimensionMismatch and
+# NonFiniteInput
 INPUT_ERRORS = (ValueError, ClassifyError, EvalError, ForestError,
                 MissingRtp, argparse.ArgumentTypeError, FileNotFoundError,
                 IsADirectoryError, NotADirectoryError, PermissionError)
@@ -244,11 +245,8 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    model = load_forest(args.model)
     _sessions, windows, names, X, _truth = _read_feature_csv(args.data)
-    if names != model.feature_names_:
-        raise ForestError(
-            f"feature CSV columns {names} do not match model features")
+    model = load_forest(args.model, names)
     preds = model.predict(X)
     rows = [[s, w, p] for s, w, p in zip(_sessions, windows, preds)]
     _atomic_write_csv(args.output, PREDICTION_HEADER, rows)
@@ -259,10 +257,10 @@ def cmd_predict(args):
 
 def _read_predictions(path, metric_col, session_id):
     """(window starts, values) of one session from a PRED file: its rows of
-    a prediction CSV, values kept as strings (resolution predictions may be
-    class labels), or the metric column of a truth-schema CSV, in which an
-    unknown frame_height reads as nan. The first column name tells the two
-    apart.
+    a prediction CSV, or the metric column of a truth-schema CSV, in which
+    an unknown frame_height reads as nan. The first column name tells the
+    two apart. A value is a float, nan when missing; a resolution
+    prediction may also be a class label, kept as a string.
 
     A prediction row belongs to the session when its session_id, less a
     ".pcap" suffix (read_pcap names a session after its file), is
@@ -274,21 +272,25 @@ def _read_predictions(path, metric_col, session_id):
             values = np.where(values == NO_HEIGHT, np.nan, values)
         return truth.window_start, values
     rows = read_csv_rows(path, PREDICTION_DTYPE)
-    rows = rows[np.array([s.removesuffix(".pcap") == session_id
-                          for s in rows["session_id"].tolist()], dtype=bool)]
+    values = rows["prediction"].copy()
+    for i, text in enumerate(values.tolist()):
+        try:
+            values[i] = float(text)
+            bad = math.isinf(values[i])
+        except ValueError:
+            bad = metric_col != "frame_height"  # else a resolution class label
+        if bad:
+            line_no, _cells = csv_row(path, i)
+            raise BadRow(path, line_no, f"{text!r} is not a finite number "
+                         "or nan", "prediction")
+    mine = np.array([s.removesuffix(".pcap") == session_id
+                     for s in rows["session_id"].tolist()], dtype=bool)
+    rows, values = rows[mine], values[mine]
     starts, counts = np.unique(rows["window_start"], return_counts=True)
     if (counts > 1).any():
         raise DuplicateSecond(f"{path}: session {session_id}: window_start="
                               f"{starts[counts > 1][0]} repeated")
-    return rows["window_start"], rows["prediction"]
-
-
-def _is_number(text):
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+    return rows["window_start"], values
 
 
 def cmd_evaluate(args):
@@ -304,12 +306,13 @@ def cmd_evaluate(args):
     pred, truth = pred[i].tolist(), getattr(truth, col)[j].tolist()
     if args.metric == "resolution":
         binning = (binning_for_heights([t for t in truth if t > 0])
-                   if all(map(_is_number, pred)) else ResolutionBinning())
+                   if all(isinstance(p, float) for p in pred)
+                   else ResolutionBinning())
         # a pair counts when the true height is known and the prediction is
         # not nan (the only value unequal to itself)
         pairs = [(p, t) for p, t in zip(pred, truth) if t > 0 and p == p]
         cm = resolution_confusion(
-            [binning.classify(int(float(p))) if _is_number(p) else p
+            [binning.classify(int(p)) if isinstance(p, float) else p
              for p, _ in pairs], [binning.classify(t) for _, t in pairs],
             binning)
         doc = {"metric": "resolution", "classes": cm.classes,
@@ -448,7 +451,9 @@ def build_parser():
     p.add_argument("--values", required=True, help="comma-separated list")
     p.add_argument("--sessions", type=_positive_int, default=5)
     p.add_argument("--duration", type=float, default=30.0)
-    p.add_argument("--n-seeds", type=_positive_int, default=5)
+    p.add_argument("--n-seeds", type=_positive_int, default=5,
+                   help="seeds per value from --seed, for loss and jitter "
+                   "only: window and lookback build one corpus at --seed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     return parser

@@ -109,12 +109,10 @@ class ConfusionMatrix:
         return sum(self.counts[i][i] for i in range(len(self.classes))) / total
 
 
-def resolution_confusion(pred_classes, truth_classes, binning=None,
-                         classes=None):
-    """Row-normalized confusion matrix (percent) with per-row totals."""
-    if classes is None:
-        classes = (binning.class_set(truth_classes) if binning is not None
-                   else sorted(set(truth_classes) | set(pred_classes)))
+def resolution_confusion(pred_classes, truth_classes, binning):
+    """Row-normalized confusion matrix (percent) with per-row totals, over
+    the classes of binning."""
+    classes = binning.class_set(truth_classes)
     index = {c: i for i, c in enumerate(classes)}
     k = len(classes)
     counts = [[0] * k for _ in range(k)]

@@ -205,10 +205,9 @@ def _gather(data, offsets, dtype):
 
 def _rtp_columns(data, start, length):
     """RTP header columns of the payloads of length[i] captured bytes at
-    start[i], NO_RTP where a payload holds no header under the rule of
-    parse_rtp_header: version 2, at least 12 bytes, and the CSRC list and
-    extension block inside the captured bytes. b0 is the header's first
-    byte."""
+    start[i], NO_RTP where a payload holds no RTP header: one is version 2,
+    at least 12 bytes, with its CSRC list and extension block inside the
+    captured bytes. b0 is the header's first byte."""
     cols = {name: np.full(len(start), NO_RTP, dtype=np.int64) for name in (
         "pt", "seq", "ts", "marker", "ssrc", "b0", "header_len")}
     i = np.flatnonzero(length >= RTP_FIXED_HEADER_LEN)
@@ -252,25 +251,23 @@ def write_pcap(session, path):
     """Write a Session back out as a classic pcap (µs) Ethernet capture.
 
     Payload bytes are the serialized RTP header (when present) padded with
-    zeros to the payload length, so read_pcap round-trips the session. A
-    header longer than the payload length is written whole, past the end
-    the UDP length gives, where read_pcap does not look for it.
+    zeros to the payload length, so read_pcap round-trips the session.
 
     The session is encoded in whole-array steps: the record, Ethernet,
     IPv4, UDP and fixed RTP headers are filled column by column and stored
     into one zeroed buffer; only rows that carry a CSRC list are packed
-    one by one. A row with the RTP extension bit, or a value that does not
-    fit its header field, raises ValueError before the file is created.
+    one by one. A row with the RTP extension bit or a payload length
+    shorter than its RTP header, or a value that does not fit its header
+    field, raises ValueError before the file is created.
     """
     cols, f = session.columns, session.fields
     rtp = np.flatnonzero(cols.rtp_pt != NO_RTP)
     b0 = f.rtp_b0[rtp]
     if (b0 & 0x10).any():
         raise ValueError("extension block serialization is unsupported")
-    header_len = np.zeros(len(cols), dtype=np.int64)
-    header_len[rtp] = RTP_FIXED_HEADER_LEN + 4 * (b0 & 0x0F)
     plen = cols.payload_len
-    body = np.maximum(plen, header_len)
+    if (plen[rtp] < RTP_FIXED_HEADER_LEN + 4 * (b0 & 0x0F)).any():
+        raise ValueError("payload length shorter than its RTP header")
     src_ip, dst_ip = _ipv4(f.src_ip), _ipv4(f.dst_ip)
     for name, values, top in (
             ("arrival second", cols.arrival_us // MICROS_PER_S, 0xFFFFFFFF),
@@ -285,10 +282,10 @@ def write_pcap(session, path):
     rec = np.zeros(len(cols), PCAP_RECORD_DTYPE)
     rec["ts_sec"] = cols.arrival_us // MICROS_PER_S
     rec["ts_usec"] = cols.arrival_us % MICROS_PER_S
-    rec["incl_len"] = rec["orig_len"] = 14 + 28 + body
+    rec["incl_len"] = rec["orig_len"] = 14 + 28 + plen
     rec["ethernet"] = np.frombuffer(ETHERNET_HEADER, np.uint8)
     rec["ip_vihl"], rec["ip_ttl"], rec["ip_proto"] = 0x45, 64, 17
-    rec["ip_len"] = 28 + body
+    rec["ip_len"] = 28 + plen
     rec["ip_src"], rec["ip_dst"] = src_ip, dst_ip
     rec["src_port"], rec["dst_port"] = f.src_port, f.dst_port
     rec["udp_len"] = 8 + plen
@@ -300,7 +297,7 @@ def write_pcap(session, path):
     hdr["ts"] = cols.rtp_ts[rtp] & 0xFFFFFFFF
     hdr["ssrc"] = f.rtp_ssrc[rtp] & 0xFFFFFFFF
 
-    size = PCAP_RECORD_DTYPE.itemsize + body
+    size = PCAP_RECORD_DTYPE.itemsize + plen
     start = np.cumsum(size) - size + 24
     out = np.zeros(24 + int(size.sum()), np.uint8)
     out[:24] = np.frombuffer(struct.pack(

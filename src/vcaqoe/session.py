@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import socket
-import struct
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Optional
@@ -22,18 +21,6 @@ NO_RTP = -1     # RTP column value for a packet without an RTP header
 NO_HEIGHT = -1  # frame_height of a window whose height is unknown
 
 
-class RtpError(ValueError):
-    """Base class for RTP parse failures."""
-
-
-class RtpTooShort(RtpError):
-    pass
-
-
-class RtpBadVersion(RtpError):
-    pass
-
-
 class MediaClass(enum.Enum):
     AUDIO = "audio"
     VIDEO = "video"
@@ -43,6 +30,8 @@ class MediaClass(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class RtpHeader:
+    """One packet's RTP header. header_len counts the CSRC list and any
+    extension block, which is not decoded."""
     version: int
     padding: bool
     extension: bool
@@ -54,55 +43,6 @@ class RtpHeader:
     ssrc: int
     csrcs: tuple = ()
     header_len: int = RTP_FIXED_HEADER_LEN
-
-
-def parse_rtp_header(raw: bytes) -> RtpHeader:
-    """Parse the fixed RTP header (plus CSRC list) from a UDP payload.
-
-    Extension blocks are not decoded but are counted in ``header_len`` so
-    callers can compute the media payload size.
-    """
-    if len(raw) < RTP_FIXED_HEADER_LEN:
-        raise RtpTooShort(f"need >= 12 bytes, got {len(raw)}")
-    b0 = raw[0]
-    version = b0 >> 6
-    if version != 2:
-        raise RtpBadVersion(f"RTP version {version} != 2")
-    padding = bool(b0 & 0x20)
-    extension = bool(b0 & 0x10)
-    csrc_count = b0 & 0x0F
-    b1 = raw[1]
-    marker = bool(b1 & 0x80)
-    payload_type = b1 & 0x7F
-    sequence, = struct.unpack_from(">H", raw, 2)
-    timestamp, ssrc = struct.unpack_from(">II", raw, 4)
-
-    header_len = RTP_FIXED_HEADER_LEN + 4 * csrc_count
-    if len(raw) < header_len:
-        raise RtpTooShort(f"CSRC list overruns payload ({len(raw)} < {header_len})")
-    csrcs = struct.unpack_from(f">{csrc_count}I", raw, 12) if csrc_count else ()
-    if extension:
-        if len(raw) < header_len + 4:
-            raise RtpTooShort("extension header overruns payload")
-        ext_words, = struct.unpack_from(">H", raw, header_len + 2)
-        header_len += 4 + 4 * ext_words
-        if len(raw) < header_len:
-            raise RtpTooShort("extension block overruns payload")
-    return RtpHeader(version, padding, extension, marker, csrc_count,
-                     payload_type, sequence, timestamp, ssrc, csrcs, header_len)
-
-
-def serialize_rtp_header(h: RtpHeader) -> bytes:
-    """Inverse of parse_rtp_header for headers without an extension block."""
-    if h.extension:
-        raise ValueError("extension block serialization is unsupported")
-    b0 = (h.version << 6) | (int(h.padding) << 5) | (h.csrc_count & 0x0F)
-    b1 = (int(h.marker) << 7) | (h.payload_type & 0x7F)
-    out = struct.pack(">BBHII", b0, b1, h.sequence & 0xFFFF,
-                      h.timestamp & 0xFFFFFFFF, h.ssrc & 0xFFFFFFFF)
-    if h.csrc_count:
-        out += struct.pack(f">{h.csrc_count}I", *h.csrcs)
-    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -137,13 +137,6 @@ def _fragments(sizes, max_payload):
     return counts, index, media
 
 
-def fragment_sizes(size, max_payload):
-    """The chunk sizes one frame of `size` media bytes splits into (see
-    _fragments)."""
-    return _fragments(np.array([size], dtype=np.int64),
-                      max_payload)[2].tolist()
-
-
 def _separate(sizes, n_pkts, depth):
     """Frame sizes widened until each frame's chunk, size // n_pkts, is at
     least SEPARATION_MARGIN bytes from the chunks of the depth frames

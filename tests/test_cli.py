@@ -906,3 +906,93 @@ def test_config_value_outside_choices_is_an_input_error(tmp_path, corpus,
         "-o", str(report)]) == 1
     assert "metric=foo: expected one of" in capsys.readouterr().err
     assert not report.exists()
+
+
+TRUTH_HEADER = "t_sec,fps,bitrate_kbps,frame_jitter_ms,frame_height\n"
+PRED_HEADER = "session_id,window_start,prediction\n"
+
+
+@pytest.mark.parametrize("metric,cell", [
+    ("fps", "abc"), ("fps", "inf"), ("jitter", "12ms"),
+    ("resolution", "-inf")])
+def test_evaluate_bad_prediction_cell_is_named(tmp_path, capsys, metric,
+                                               cell):
+    truth = tmp_path / "call.truth.csv"
+    truth.write_text(TRUTH_HEADER + "10,30,800,1,720\n11,30,800,1,720\n")
+    preds = tmp_path / "preds.csv"
+    preds.write_text(PRED_HEADER + f"call,10,29\n\ncall,11,{cell}\n")
+    report = tmp_path / "report.json"
+    assert run(["evaluate", str(preds), str(truth), "--metric", metric,
+                "-o", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert f"{preds}: line 4, column prediction: {cell!r}" in err
+    assert not report.exists()
+
+
+def test_evaluate_nan_resolution_prediction_is_missing(tmp_path):
+    truth = tmp_path / "call.truth.csv"
+    truth.write_text(TRUTH_HEADER + "10,30,800,1,180\n11,30,800,1,720\n"
+                     "12,30,800,1,360\n")
+    preds = tmp_path / "preds.csv"
+    report = tmp_path / "res.json"
+    # heights are scored per value, over the scored windows' true heights;
+    # class labels in the three bins
+    for cells, classes, accuracy in (
+            (("nan", "720", "360"), ["360", "720"], 1.0),
+            (("nan", "high", "low"), ["low", "medium", "high"], 0.5)):
+        preds.write_text(PRED_HEADER + "".join(
+            f"call,{10 + i},{c}\n" for i, c in enumerate(cells)))
+        assert run(["evaluate", str(preds), str(truth), "--metric",
+                    "resolution", "-o", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["classes"] == classes and sum(doc["row_totals"]) == 2
+        assert doc["accuracy"] == accuracy
+
+
+def test_classify_with_the_given_vmin(tmp_path, corpus):
+    out = tmp_path / "report.json"
+    assert run(["classify", str(corpus / "synth-100.packets.csv"),
+                "--vmin", "400", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["v_min"] == 400
+    assert doc["video_recall"] == 1.0 and doc["non_video_rejection"] == 1.0
+
+
+def test_train_without_the_target_column_is_an_input_error(tmp_path,
+                                                           fps_model, capsys):
+    feats, _model = fps_model
+    bare = tmp_path / "bare.csv"
+    bare.write_text("".join(",".join(line.split(",")[:-4]) + "\n"
+                            for line in feats.read_text().splitlines()))
+    model = tmp_path / "model.json"
+    assert run(["train", str(bare), "--target", "fps",
+                "-o", str(model)]) == 1
+    assert "lacks target column fps" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_predict_with_a_model_of_other_features_is_an_input_error(
+        tmp_path, corpus, fps_model, capsys):
+    _feats, model = fps_model
+    rtp = tmp_path / "rtp.csv"
+    assert run(["features", str(corpus), "--set", "rtp", "-o", str(rtp)]) == 0
+    preds = tmp_path / "preds.csv"
+    assert run(["predict", str(model), str(rtp), "-o", str(preds)]) == 1
+    assert "model was trained on" in capsys.readouterr().err
+    assert not preds.exists()
+
+
+@pytest.mark.parametrize("axis", ["loss", "jitter"])
+def test_sweep_impairment_axes(tmp_path, capsys, axis):
+    argv = ["sweep", "--axis", axis, "--values", "0,20", "--sessions", "1",
+            "--duration", "4", "--n-seeds", "1"]
+    out = tmp_path / "sweep.csv"
+    assert run([*argv, "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == f"{axis},fps_mae"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "20.0"]
+    assert all(float(line.split(",")[1]) >= 0 for line in lines[1:])
+    capsys.readouterr()
+    # without -o, the same table goes to stdout
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out.read_text()

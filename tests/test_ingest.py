@@ -288,10 +288,6 @@ def test_write_pcap_matches_reference_bytes(tmp_path):
         (1_000_005, 1, 2, 40, RtpHeader(
             2, True, False, False, 0, 102, 0x1_0008, 3000, 0x1111),
          bytes.fromhex("a066000800000bb800001111")),
-        # payload_len shorter than the header: the header is written whole
-        (1_999_999, 5, 6, 9, RtpHeader(
-            2, False, False, False, 1, 111, 9, 3100, 0x2222, (0x3333,), 16),
-         bytes.fromhex("816f000900000c1c0000222200003333")),
         (2_000_000, 3, 4, 30, None, b""),
     ]
     frames = []
@@ -326,6 +322,18 @@ def test_write_pcap_rejects_rtp_extension_before_creating_a_file(tmp_path):
         PacketRecord(1, "1.1.1.1", "2.2.2.2", 1, 2, 100, plain),
         PacketRecord(2, "1.1.1.1", "2.2.2.2", 1, 2, 100, extended)])
     with pytest.raises(ValueError, match="extension"):
+        write_pcap(session, str(tmp_path / "t.pcap"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_pcap_rejects_payload_shorter_than_its_header(tmp_path):
+    # 9 payload bytes cannot hold a 16-byte header (one CSRC)
+    short = RtpHeader(2, False, False, False, 1, 111, 9, 3100, 0x2222,
+                      (0x3333,), 16)
+    session = Session("s", "", [
+        PacketRecord(1, "1.1.1.1", "2.2.2.2", 1, 2, 16, short),
+        PacketRecord(2, "1.1.1.1", "2.2.2.2", 5, 6, 9, short)])
+    with pytest.raises(ValueError, match="shorter than its RTP header"):
         write_pcap(session, str(tmp_path / "t.pcap"))
     assert list(tmp_path.iterdir()) == []
 

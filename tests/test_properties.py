@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from vcaqoe.assembly import (AssemblyDiagnostics, IpUdpAssemblyParams,
                              MissingRtp, assemble_ipudp, assemble_rtp,
                              diagnose, lookback_labels)
-from vcaqoe.classify import (SizeThreshold, classify_by_payload_type,
-                             classify_by_size)
+from vcaqoe.classify import (PayloadTypeMap, SizeThreshold,
+                             classify_by_payload_type, classify_by_size)
 from vcaqoe.features import (RTP_FEATURE_NAMES, SemanticParams,
                              session_feature_rows)
 from vcaqoe.forest import (RandomForestClassifier, RandomForestRegressor,
@@ -27,14 +27,17 @@ from vcaqoe.ingest import (read_ground_truth_csv, read_packet_csv, read_pcap,
                            write_ground_truth_csv, write_packet_csv,
                            write_pcap)
 from vcaqoe.pipeline import analyze_session, paired_metric
-from vcaqoe.session import (NO_CLASS, NO_HEIGHT, RTP_FIXED_HEADER_LEN,
-                            MediaClass, PacketColumns, PacketRecord,
-                            RecordFields, RtpError, RtpHeader, Session,
-                            WindowTable, parse_rtp_header)
+from vcaqoe.session import (MEDIA_CODE, NO_CLASS, NO_HEIGHT, NO_RTP,
+                            RTP_FIXED_HEADER_LEN, MediaClass, PacketColumns,
+                            PacketRecord, RecordFields, RtpHeader, Session,
+                            WindowTable)
 from vcaqoe.synth import (DST, INTRA_FRAME_GAP_US, MIN_PACKET_MEDIA,
                           SEPARATION_MARGIN, SRC, FrameLogEntry,
-                          ImpairmentProfile, SenderProfile, generate, impair,
-                          truth_from_frame_log)
+                          ImpairmentProfile, SenderProfile, _fragments,
+                          generate, impair, truth_from_frame_log)
+
+from reference import (RtpError, fragment_sizes, lookup, parse_rtp_header,
+                       serialize_rtp_header)
 
 
 def reference_labels(sizes, delta_size_max, n_max):
@@ -462,6 +465,77 @@ def test_read_pcap_rtp_rule_matches_parse_rtp_header(
                         ext_words_present, tail, padding)[:cut]
     got, captured = read_one_payload(payload, snap)
     assert got == parsed_or_none(captured)
+
+
+# --- the columnar RTP writer of write_pcap against serialize_rtp_header ----
+
+rtp_rows = st.builds(
+    lambda cc, padding, marker, pt, seq, ts, ssrc, csrcs: RtpHeader(
+        2, padding, False, marker, cc, pt, seq, ts, ssrc, tuple(csrcs[:cc]),
+        RTP_FIXED_HEADER_LEN + 4 * cc),
+    cc=st.integers(0, 15), padding=st.booleans(), marker=st.booleans(),
+    pt=st.integers(0, 127), seq=st.integers(0, 2**17),
+    ts=st.integers(0, 2**33), ssrc=st.integers(0, 2**33),
+    csrcs=st.lists(st.integers(0, 2**32 - 1), min_size=15, max_size=15))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.none() | rtp_rows, st.integers(0, 40)),
+                     min_size=1, max_size=12))
+def test_write_pcap_headers_match_serialize_rtp_header(rows):
+    """seq, ts and ssrc range past their fields, so the writer must wrap
+    them as the serializer does."""
+    packets = [PacketRecord(i, "10.0.0.1", "10.0.0.2", 1, 2,
+                            (rtp.header_len if rtp else 0) + extra, rtp)
+               for i, (rtp, extra) in enumerate(rows)]
+    session = Session("s", "", packets)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.pcap")
+        write_pcap(session, path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    off = 24
+    for p in session.packets:
+        incl_len, = struct.unpack_from("<I", blob, off + 8)
+        payload = blob[off + 16 + 42:off + 16 + incl_len]
+        assert len(payload) == p.payload_len
+        if p.rtp is not None:
+            assert payload[:p.rtp.header_len] == serialize_rtp_header(p.rtp)
+        off += 16 + incl_len
+    assert off == len(blob)
+
+
+# --- the columnar fragmentation and payload-type rules, one value at a time
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 20_000), max_size=20),
+       max_payload=st.integers(13, 2_000))
+def test_fragments_match_fragment_sizes(sizes, max_payload):
+    counts, index, media = _fragments(np.array(sizes, dtype=np.int64),
+                                      max_payload)
+    starts = np.cumsum(counts) - counts
+    assert index.tolist() == [j for n in counts.tolist() for j in range(n)]
+    assert [media[s:s + n].tolist() for s, n in zip(starts, counts)] == [
+        fragment_sizes(size, max_payload) for size in sizes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from([NO_RTP, 96, 100, 101, 102, 103,
+                                                111, 127]),
+                               st.sampled_from([12, 303, 304, 305, 1200])),
+                     max_size=30))
+def test_payload_type_classify_matches_lookup(rows):
+    """Per packet: no RTP header is other, else the map's class, except a
+    retransmission of exactly the keep-alive length, which is other."""
+    ptmap = PayloadTypeMap()
+    expected = []
+    for pt, length in rows:
+        cls = MediaClass.OTHER if pt == NO_RTP else lookup(ptmap, pt)
+        if cls is MediaClass.VIDEO_RETX and length == ptmap.keepalive_len:
+            cls = MediaClass.OTHER
+        expected.append(MEDIA_CODE[cls])
+    pt, length = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+    assert ptmap.classify(pt, length).tolist() == expected
 
 
 def reference_stats(y, task, n_classes):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from vcaqoe.heuristics import window_segments
-from vcaqoe.session import (MediaClass, PacketRecord, RtpBadVersion,
-                            RtpHeader, RtpTooShort, Session, parse_rtp_header,
-                            serialize_rtp_header)
+from vcaqoe.session import MediaClass, PacketRecord, Session
+
+from reference import (RtpBadVersion, RtpTooShort, parse_rtp_header,
+                       serialize_rtp_header)
 
 
 def encode_rtp(version=2, padding=0, extension=0, cc=0, marker=0, pt=0,

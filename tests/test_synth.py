@@ -9,9 +9,10 @@ from vcaqoe.session import RTP_FIXED_HEADER_LEN, MediaClass, PacketRecord, \
     Session
 from vcaqoe.synth import (HEIGHT_TIERS, MIN_PACKET_MEDIA, SEPARATION_MARGIN,
                           FrameLogEntry, ImpairmentProfile, InvalidProfile,
-                          SenderProfile, fragment_sizes, generate, impair,
-                          read_frame_log_csv, truth_from_frame_log,
-                          write_frame_log_csv)
+                          SenderProfile, generate, impair, read_frame_log_csv,
+                          truth_from_frame_log, write_frame_log_csv)
+
+from reference import fragment_sizes
 
 
 def video_packets(session):
