@@ -11,6 +11,7 @@ from typing import Dict
 
 import numpy as np
 
+from .evaluation import ConfusionMatrix
 from .session import MEDIA_CODE, NO_RTP, MediaClass
 
 DEFAULT_VMIN = 500
@@ -57,7 +58,6 @@ class SizeThreshold:
 class PayloadTypeMap:
     mapping: Dict[int, MediaClass] = field(
         default_factory=lambda: dict(TEAMS_LAB_PROFILE))
-    keepalive_len: int = KEEPALIVE_LEN
 
     def classify(self, rtp_pt, payload_len):
         """MEDIA_CODE per packet, from int64 columns.
@@ -72,7 +72,7 @@ class PayloadTypeMap:
             out[rtp_pt == pt] = MEDIA_CODE[cls]
         out[rtp_pt == NO_RTP] = other
         out[(out == MEDIA_CODE[MediaClass.VIDEO_RETX])
-            & (payload_len == self.keepalive_len)] = other
+            & (payload_len == KEEPALIVE_LEN)] = other
         return out
 
     def payload_type_for(self, cls):
@@ -137,32 +137,12 @@ def fit_vmin(labeled):
     return SizeThreshold((audio_max + video_min) // 2)
 
 
-@dataclass
-class MediaConfusion:
-    """2x2 video vs non-video confusion: rows actual, columns predicted."""
-    counts: list          # [[nv->nv, nv->v], [v->nv, v->v]]
-    row_percent: list     # row-normalized percentages
-    row_totals: list
-    labels = ("non_video", "video")
-
-    def video_recall(self):
-        return 0.0 if self.row_totals[1] == 0 else self.row_percent[1][1] / 100.0
-
-    def non_video_rejection(self):
-        return 0.0 if self.row_totals[0] == 0 else self.row_percent[0][0] / 100.0
-
-
 def classification_report(predicted, truth):
-    """Confusion matrix of size-based predictions against payload-type
-    truth, collapsed to video vs non-video."""
+    """ConfusionMatrix of size-based predictions against payload-type
+    truth, collapsed to the classes non_video and video."""
     if len(predicted) != len(truth):
         raise LengthMismatch(f"{len(predicted)} != {len(truth)} packets")
     video = MEDIA_CODE[MediaClass.VIDEO]
-    actual = truth.columns.media_class == video
-    pred = predicted.columns.media_class == video
-    counts = [[int((row & ~pred).sum()), int((row & pred).sum())]
-              for row in (~actual, actual)]
-    totals = [sum(row) for row in counts]
-    percent = [[(100.0 * c / tot if tot else 0.0) for c in row]
-               for row, tot in zip(counts, totals)]
-    return MediaConfusion(counts, percent, totals)
+    return ConfusionMatrix.of(("non_video", "video"),
+                              truth.columns.media_class == video,
+                              predicted.columns.media_class == video)

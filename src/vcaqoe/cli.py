@@ -61,12 +61,16 @@ def _read_session(path, vca="", rtp=False):
     return session
 
 
-def _json_out(doc, path=None):
-    blob = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write_out(text, path=None):
+    """Write text to the file at path, or to stdout when there is none."""
     if path:
-        _atomic_write_bytes(path, blob.encode())
+        _atomic_write_bytes(path, text.encode())
     else:
-        sys.stdout.write(blob)
+        sys.stdout.write(text)
+
+
+def _json_out(doc, path=None):
+    _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
 
 
 # ---------------------------------------------------------------- synth
@@ -111,12 +115,12 @@ def cmd_classify(args):
     report = classification_report(predicted, truth)
     _json_out({
         "v_min": threshold.v_min,
-        "labels": list(report.labels),
+        "labels": report.classes,
         "counts": report.counts,
         "row_percent": report.row_percent,
         "row_totals": report.row_totals,
-        "video_recall": report.video_recall(),
-        "non_video_rejection": report.non_video_rejection(),
+        "video_recall": report.recall("video"),
+        "non_video_rejection": report.recall("non_video"),
     }, args.output)
     return 0
 
@@ -229,17 +233,15 @@ def cmd_train(args):
         heights = y.astype(int)
         keep = heights > 0
         binning = binning_for_heights(heights[keep])
-        labels = np.array([binning.classify(h) for h in heights[keep]])
-        model = RandomForestClassifier(
-            n_trees=args.trees, max_depth=args.depth,
-            min_samples_leaf=args.min_leaf, seed=args.seed)
-        model.fit(X[keep], labels)
+        y = np.array([binning.classify(h) for h in heights[keep]])
+        forest = RandomForestClassifier
     else:
         keep = np.isfinite(y)
-        model = RandomForestRegressor(
-            n_trees=args.trees, max_depth=args.depth,
-            min_samples_leaf=args.min_leaf, seed=args.seed)
-        model.fit(X[keep], y[keep])
+        y = y[keep]
+        forest = RandomForestRegressor
+    model = forest(n_trees=args.trees, max_depth=args.depth,
+                   min_samples_leaf=args.min_leaf, seed=args.seed)
+    model.fit(X[keep], y)
     save_forest(model, args.output, names)
     return 0
 
@@ -347,13 +349,8 @@ def cmd_sweep(args):
                                       n_sessions=args.sessions,
                                       duration_s=args.duration,
                                       seed=args.seed)
-    rows = [[v, f"{m:.6f}"] for v, m in table]
-    if args.output:
-        _atomic_write_csv(args.output, [args.axis, "fps_mae"], rows)
-    else:
-        print(f"{args.axis},fps_mae")
-        for v, m in rows:
-            print(f"{v},{m}")
+    lines = [f"{args.axis},fps_mae"] + [f"{v},{m:.6f}" for v, m in table]
+    _write_out("".join(line + "\n" for line in lines), args.output)
     return 0
 
 

@@ -60,47 +60,54 @@ def within_tolerance(pred, truth, tol):
     return float(np.mean(np.abs(p - t) <= tol))
 
 
+# Frame-height bins, each (upper edge, class), in increasing edge order
+HEIGHT_BINS = ((240, "low"), (480, "medium"), (float("inf"), "high"))
+
+
 @dataclass(frozen=True)
 class ResolutionBinning:
-    """Frame-height classes: either one class per distinct height, or three
-    bins (low <= 240 < medium <= 480 < high)."""
+    """Frame-height classes: either one class per distinct height, or the
+    three HEIGHT_BINS (low <= 240 < medium <= 480 < high)."""
     mode: str = "binned"
-    edges: tuple = (240, 480)
-    labels: tuple = ("low", "medium", "high")
-
-    def __post_init__(self):
-        if list(self.edges) != sorted(set(self.edges)):
-            raise ValueError("edges must be strictly increasing")
 
     def classify(self, height):
         if self.mode == "per_value":
             return str(int(height))
-        for edge, label in zip(self.edges, self.labels):
-            if height <= edge:
-                return label
-        return self.labels[len(self.edges)]
+        return next(label for edge, label in HEIGHT_BINS if height <= edge)
 
     def class_set(self, heights=()):
+        """The classes in increasing height order."""
         if self.mode == "per_value":
-            return [str(int(h)) for h in sorted(set(heights))]
-        return list(self.labels)
+            return [str(h) for h in sorted({int(h) for h in heights})]
+        return [label for _edge, label in HEIGHT_BINS]
 
 
 def binning_for_heights(heights):
     """Per-value classes when few distinct heights exist, three bins
     otherwise."""
-    distinct = set(int(h) for h in heights)
-    if len(distinct) <= 5:
-        return ResolutionBinning(mode="per_value")
-    return ResolutionBinning(mode="binned")
+    distinct = {int(h) for h in heights}
+    return ResolutionBinning("per_value" if len(distinct) <= 5 else "binned")
 
 
 @dataclass
 class ConfusionMatrix:
+    """Rows actual, columns predicted, over classes; row_percent is each
+    row in percent of its total, 0.0 in a row without samples."""
     classes: list
-    counts: list          # rows actual, columns predicted
+    counts: list
     row_percent: list
     row_totals: list
+
+    @classmethod
+    def of(cls, classes, actual, predicted):
+        """The matrix of two code arrays, each code an index of classes."""
+        k = len(classes)
+        pairs = np.asarray(actual, np.int64) * k + predicted
+        counts = np.bincount(pairs, minlength=k * k).reshape(k, k).tolist()
+        totals = [sum(row) for row in counts]
+        percent = [[(100.0 * c / tot if tot else 0.0) for c in row]
+                   for row, tot in zip(counts, totals)]
+        return cls(list(classes), counts, percent, totals)
 
     def accuracy(self):
         total = sum(self.row_totals)
@@ -108,22 +115,25 @@ class ConfusionMatrix:
             return 0.0
         return sum(self.counts[i][i] for i in range(len(self.classes))) / total
 
+    def recall(self, cls):
+        """The share of class cls samples predicted cls; 0.0 without any."""
+        i = self.classes.index(cls)
+        return self.row_percent[i][i] / 100.0 if self.row_totals[i] else 0.0
+
 
 def resolution_confusion(pred_classes, truth_classes, binning):
     """Row-normalized confusion matrix (percent) with per-row totals, over
-    the classes of binning."""
+    the classes of binning; EmptyAfterExclusion without a pair."""
+    if not len(truth_classes):
+        raise EmptyAfterExclusion("no valid pairs")
     classes = binning.class_set(truth_classes)
     index = {c: i for i, c in enumerate(classes)}
-    k = len(classes)
-    counts = [[0] * k for _ in range(k)]
-    for p, t in zip(pred_classes, truth_classes):
-        if p not in index or t not in index:
-            raise UnknownClass(f"class {p if p not in index else t!r}")
-        counts[index[t]][index[p]] += 1
-    totals = [sum(row) for row in counts]
-    percent = [[(100.0 * c / tot if tot else 0.0) for c in row]
-               for row, tot in zip(counts, totals)]
-    return ConfusionMatrix(list(classes), counts, percent, totals)
+    try:
+        pred, truth = ([index[c] for c in side]
+                       for side in (pred_classes, truth_classes))
+    except KeyError as exc:
+        raise UnknownClass(f"class {exc.args[0]!r}") from None
+    return ConfusionMatrix.of(classes, truth, pred)
 
 
 @dataclass
@@ -135,7 +145,6 @@ class EvalReport:
     within_tolerance: dict = field(default_factory=dict)
     n_pairs: int = 0
     n_excluded: int = 0
-    residuals: list = field(default_factory=list)
 
     def to_dict(self):
         return {"metric": self.metric, "mae": self.mae, "mrae": self.mrae,
@@ -146,8 +155,7 @@ class EvalReport:
 def evaluate_metric(pred, truth, metric, tolerances=()):
     p, t = _paired(pred, truth)
     report = EvalReport(metric=metric, mae=mae(p, t), n_pairs=len(p),
-                        n_excluded=len(pred) - len(p),
-                        residuals=(p - t).tolist())
+                        n_excluded=len(pred) - len(p))
     if (t > 0).any():
         report.mrae, _excluded = mrae(p, t)
     report.within_tolerance = {str(tol): within_tolerance(p, t, tol)

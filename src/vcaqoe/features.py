@@ -15,7 +15,8 @@ import numpy as np
 from .assembly import MissingRtp, assemble_rtp, rtp_frame_table  # noqa: F401
 from .heuristics import (segment_stats, segment_sums, whole_seconds,
                          window_segments)
-from .session import MEDIA_CODE, MICROS_PER_S, NO_RTP, MediaClass
+from .session import (MEDIA_CODE, MICROS_PER_S, NO_RTP, RTP_VIDEO_CLOCK_HZ,
+                      MediaClass)
 
 FLOW_FEATURES = [
     "bytes_per_s", "pkts_per_s",
@@ -39,11 +40,10 @@ SEQ_HALF_RANGE = 32768
 @dataclass(frozen=True)
 class SemanticParams:
     theta_iat_ms: float = 3.0
-    sampling_freq: int = 90000
 
     def __post_init__(self):
-        if self.theta_iat_ms <= 0 or self.sampling_freq <= 0:
-            raise ValueError("theta_iat_ms and sampling_freq must be positive")
+        if self.theta_iat_ms <= 0:
+            raise ValueError("theta_iat_ms must be positive")
 
 
 FIVE_STATS = ("mean", "std", "median", "min", "max")
@@ -164,7 +164,7 @@ def session_feature_rows(session, feature_set="ipudp", w=1,
         frame_ts = video.rtp_ts[frames.members[frames.lo]]
         lags = frame_lags(frames.end_us, frame_ts,
                           (int(frames.end_us[0]), int(frame_ts[0])),
-                          params.sampling_freq)
+                          RTP_VIDEO_CLOCK_HZ)
         media = cols.take(is_video | (
             cols.media_class == MEDIA_CODE[MediaClass.VIDEO_RETX]))
         extra = _rtp_rows(media, *window_segments(media.arrival_us, w,

@@ -165,7 +165,7 @@ class _BaseForest:
         self.bootstrap = bootstrap
         self.seed = seed
 
-    def get_params(self, deep=True):
+    def get_params(self):
         names = inspect.signature(type(self).__init__).parameters
         return {k: getattr(self, k) for k in names if k != "self"}
 

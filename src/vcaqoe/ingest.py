@@ -12,7 +12,6 @@ import csv
 import itertools
 import mmap
 import os
-import socket
 import struct
 import tempfile
 import warnings
@@ -22,7 +21,7 @@ import numpy as np
 
 from .session import (MICROS_PER_S, NO_CLASS, NO_HEIGHT, NO_RTP,
                       RTP_FIXED_HEADER_LEN, PacketColumns, RecordFields,
-                      Session, WindowTable, _addresses)
+                      Session, WindowTable, _addresses, _per_distinct, ipv4)
 
 # Address cells are read as bytes, one wider than the longest dotted quad:
 # np.loadtxt cuts a longer cell to the field's width, and a cut cell is
@@ -86,8 +85,9 @@ class GroundTruthSeries:
     rows: WindowTable  # strictly increasing window_start
 
 
-def read_pcap(path, session_id=None, vca_label=""):
-    """Read a classic pcap file into a Session of IPv4/UDP packets.
+def read_pcap(path, vca_label=""):
+    """Read a classic pcap file into a Session of IPv4/UDP packets, named
+    after the file.
 
     Non-IPv4 and non-UDP packets, and IPv4 fragments other than the first,
     are skipped and counted on the returned session as ``skipped_count``.
@@ -113,8 +113,7 @@ def read_pcap(path, session_id=None, vca_label=""):
             source = contextlib.nullcontext(fh.read())
     with source as data:
         try:
-            return _decode_pcap(data, session_id or os.path.basename(path),
-                                vca_label)
+            return _decode_pcap(data, os.path.basename(path), vca_label)
         except IngestError as exc:
             raise type(exc)(f"{path}: {exc}") from None
 
@@ -268,11 +267,10 @@ def write_pcap(session, path):
     plen = cols.payload_len
     if (plen[rtp] < RTP_FIXED_HEADER_LEN + 4 * (b0 & 0x0F)).any():
         raise ValueError("payload length shorter than its RTP header")
-    src_ip, dst_ip = _ipv4(f.src_ip), _ipv4(f.dst_ip)
     for name, values, top in (
             ("arrival second", cols.arrival_us // MICROS_PER_S, 0xFFFFFFFF),
-            ("source address", src_ip, 0xFFFFFFFF),
-            ("destination address", dst_ip, 0xFFFFFFFF),
+            ("source address", f.src_ip, 0xFFFFFFFF),
+            ("destination address", f.dst_ip, 0xFFFFFFFF),
             ("source port", f.src_port, 0xFFFF),
             ("destination port", f.dst_port, 0xFFFF),
             ("payload length", plen, 0xFFFF - 28)):
@@ -286,7 +284,7 @@ def write_pcap(session, path):
     rec["ethernet"] = np.frombuffer(ETHERNET_HEADER, np.uint8)
     rec["ip_vihl"], rec["ip_ttl"], rec["ip_proto"] = 0x45, 64, 17
     rec["ip_len"] = 28 + plen
-    rec["ip_src"], rec["ip_dst"] = src_ip, dst_ip
+    rec["ip_src"], rec["ip_dst"] = f.src_ip, f.dst_ip
     rec["src_port"], rec["dst_port"] = f.src_port, f.dst_port
     rec["udp_len"] = 8 + plen
     hdr = np.zeros(len(rtp), RTP_HEADER_DTYPE)
@@ -314,26 +312,6 @@ def write_pcap(session, path):
     _atomic_write_bytes(path, out)
 
 
-def _ipv4(column):
-    """An address column as int64 IPv4 addresses; dotted-quad strings are
-    converted once per distinct value."""
-    if column.dtype.kind in "iu":
-        return column
-    return _per_distinct(column, lambda v: int.from_bytes(
-        socket.inet_aton(v), "big"))
-
-
-def _per_distinct(column, convert):
-    """convert applied to a column, as int64, once per distinct value among
-    the first cells of its runs of equal cells."""
-    head = np.ones(len(column), dtype=bool)
-    head[1:] = column[1:] != column[:-1]
-    heads = np.flatnonzero(head)
-    values, inverse = np.unique(column[heads], return_inverse=True)
-    return np.array([convert(v) for v in values.tolist()], dtype=np.int64)[
-        np.repeat(inverse.reshape(-1), np.diff(heads, append=len(column)))]
-
-
 def _scatter(out, offsets, values):
     """Store the rows of a fixed-size dtype array at byte offsets of out,
     a uint8 array; the inverse of _gather."""
@@ -345,10 +323,11 @@ def _scatter(out, offsets, values):
     at_every_byte[offsets] = values.view(raw)
 
 
-def read_packet_csv(path, session_id=None, vca_label=""):
-    """Read the packet CSV schema into a Session, rows in stable ts_us
-    order. RTP columns use -1 for absent. Addresses must be dotted quads;
-    they are held as integers, as read_pcap gives them."""
+def read_packet_csv(path, vca_label=""):
+    """Read the packet CSV schema into a Session named after the file less
+    its .csv and .packets suffixes, rows in stable ts_us order. RTP columns
+    use -1 for absent. Addresses must be dotted quads (ipv4); they are held
+    as integers, as read_pcap gives them."""
     rows = read_csv_rows(path, PACKET_ROW_DTYPE)
     if not len(rows):
         raise Empty(f"{path}: no packet rows")
@@ -373,10 +352,9 @@ def read_packet_csv(path, session_id=None, vca_label=""):
         src_ip, dst_ip, rows["src_port"], rows["dst_port"],
         column("rtp_ssrc"), np.full(n, 0x80, dtype=np.int64),
         np.full(n, RTP_FIXED_HEADER_LEN, dtype=np.int64), np.empty(n, object))
-    if session_id is None:
-        session_id = os.path.splitext(os.path.basename(path))[0]
-        session_id = session_id.removesuffix(".packets")
-    return Session(session_id, vca_label, columns=cols, fields=fields)
+    session_id = os.path.splitext(os.path.basename(path))[0]
+    return Session(session_id.removesuffix(".packets"), vca_label,
+                   columns=cols, fields=fields)
 
 
 def _ipv4_cells(path, rows, name):
@@ -384,9 +362,8 @@ def _ipv4_cells(path, rows, name):
     is not a dotted quad is a BadRow."""
     def address(cell):
         try:
-            return int.from_bytes(socket.inet_pton(
-                socket.AF_INET, cell.decode("latin-1")), "big")
-        except (OSError, ValueError):
+            return ipv4(cell.decode("latin-1"))
+        except ValueError:
             line_no, row = csv_row(path, int(np.argmax(rows[name] == cell)))
             cell = row[PACKET_CSV_HEADER.index(name)]   # not cut to width
             raise BadRow(path, line_no, f"{cell!r} is not a dotted-quad "

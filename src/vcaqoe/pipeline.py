@@ -12,13 +12,13 @@ from .session import MEDIA_CODE, MediaClass, PacketColumns  # noqa: F401
 
 
 def analyze_session(session, method="ipudp", params=None, threshold=None,
-                    ptmap=None, w=1):
+                    w=1):
     """Per-window QoE estimates for one session.
 
     method "ipudp": size-threshold classification + size-difference
-    assembly; method "rtp": payload-type classification + RTP-timestamp
-    grouping. Returns a WindowTable, the window_series of the frames over
-    the session's span. w is a positive whole number of seconds
+    assembly; method "rtp": classification by the default PayloadTypeMap +
+    RTP-timestamp grouping. Returns a WindowTable, the window_series of the
+    frames over the session's span. w is a positive whole number of seconds
     (whole_seconds).
     """
     if method not in ("ipudp", "rtp"):
@@ -30,8 +30,7 @@ def analyze_session(session, method="ipudp", params=None, threshold=None,
             cols.payload_len))
         frames = ipudp_frame_table(video, params or IpUdpAssemblyParams())
     else:
-        classes = (ptmap or PayloadTypeMap()).classify(cols.rtp_pt,
-                                                       cols.payload_len)
+        classes = PayloadTypeMap().classify(cols.rtp_pt, cols.payload_len)
         frames = rtp_frame_table(
             cols.take(classes == MEDIA_CODE[MediaClass.VIDEO]))
     span = (int(cols.arrival_us[0]), int(cols.arrival_us[-1]))

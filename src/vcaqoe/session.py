@@ -19,6 +19,7 @@ MICROS_PER_S = 1_000_000
 RTP_FIXED_HEADER_LEN = 12
 NO_RTP = -1     # RTP column value for a packet without an RTP header
 NO_HEIGHT = -1  # frame_height of a window whose height is unknown
+RTP_VIDEO_CLOCK_HZ = 90000   # the RTP timestamp clock of video streams
 
 
 class MediaClass(enum.Enum):
@@ -115,11 +116,11 @@ class RecordFields(_Rows):
     """The per-packet values that only the PacketRecord view and the
     writers read, row for row with a session's columns.
 
-    Addresses are dotted-quad strings, or IPv4 addresses as integers.
-    rtp_ssrc is NO_RTP on rows without RTP, like the RTP columns. The
-    other RTP values are read on RTP rows only: rtp_b0 is the header's
-    first byte (version, padding, extension and CSRC count bits), and
-    rtp_csrcs holds a row's CSRC list, or None for none.
+    Addresses are IPv4 addresses as integers (ipv4). rtp_ssrc is NO_RTP
+    on rows without RTP, like the RTP columns. The other RTP values are
+    read on RTP rows only: rtp_b0 is the header's first byte (version,
+    padding, extension and CSRC count bits), and rtp_csrcs holds a row's
+    CSRC list, or None for none.
     """
     src_ip: np.ndarray
     dst_ip: np.ndarray
@@ -133,8 +134,8 @@ class RecordFields(_Rows):
     @classmethod
     def of(cls, packets) -> "RecordFields":
         headers = [p.rtp or _NO_HEADER for p in packets]
-        return cls(_column(packets, "src_ip", object),
-                   _column(packets, "dst_ip", object),
+        return cls(_per_distinct(_column(packets, "src_ip", object), ipv4),
+                   _per_distinct(_column(packets, "dst_ip", object), ipv4),
                    _column(packets, "src_port"), _column(packets, "dst_port"),
                    _column(headers, "ssrc"),
                    np.fromiter(((h.version << 6) | (h.padding << 5)
@@ -161,10 +162,29 @@ class RecordFields(_Rows):
                         map(_media_class, cols.media_class.tolist())))
 
 
+def ipv4(text):
+    """A dotted quad as an integer, by inet_pton's strict rule (no leading
+    zero, no space); any other text raises ValueError naming it."""
+    try:
+        return int.from_bytes(socket.inet_pton(socket.AF_INET, text), "big")
+    except (OSError, TypeError, ValueError):
+        raise ValueError(f"{text!r} is not a dotted-quad IPv4 address") \
+            from None
+
+
+def _per_distinct(column, convert):
+    """convert applied to a column, as int64, once per distinct value among
+    the first cells of its runs of equal cells."""
+    head = np.ones(len(column), dtype=bool)
+    head[1:] = column[1:] != column[:-1]
+    heads = np.flatnonzero(head)
+    values, inverse = np.unique(column[heads], return_inverse=True)
+    return np.array([convert(v) for v in values.tolist()], dtype=np.int64)[
+        np.repeat(inverse.reshape(-1), np.diff(heads, append=len(column)))]
+
+
 def _addresses(column):
-    """Dotted-quad strings of an address column."""
-    if column.dtype.kind not in "iu":
-        return column.tolist()
+    """Dotted-quad strings of an integer address column."""
     values, inverse = np.unique(column, return_inverse=True)
     names = [socket.inet_ntoa(int(v).to_bytes(4, "big")) for v in values]
     return [names[i] for i in inverse.reshape(-1).tolist()]

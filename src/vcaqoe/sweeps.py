@@ -19,8 +19,7 @@ def _corpus(profile, n_sessions, duration_s, seed, impairment=None):
     for i in range(n_sessions):
         session, truth, frame_log = generate(profile, duration_s, seed + i)
         if impairment is not None:
-            session = impair(session, impairment, seed + i,
-                             profile.ptmap())
+            session = impair(session, impairment, seed + i)
         out.append((session, truth, frame_log))
     return out
 
@@ -37,14 +36,11 @@ def _fps_mae(corpus, assembly_params=None, w=1):
     return mae(pred, truth)
 
 
-def _impairment_sweep(values, impairment_of, profile, n_sessions,
-                      duration_s, seeds):
+def _impairment_sweep(values, impairment_of, n_sessions, duration_s, seeds):
     """Frame-rate MAE of the size heuristic at each axis value, averaged
     over seeds; each seed's corpus is impaired by impairment_of(value)."""
-    profile = profile or SenderProfile()
-
     def run(value):
-        maes = [_fps_mae(_corpus(profile, n_sessions, duration_s,
+        maes = [_fps_mae(_corpus(SenderProfile(), n_sessions, duration_s,
                                  1000 * (s + 1), impairment_of(value)))
                 for s in seeds]
         return sum(maes) / len(maes)
@@ -52,53 +48,44 @@ def _impairment_sweep(values, impairment_of, profile, n_sessions,
     return sweep(run, list(values))
 
 
-def loss_sweep(loss_values_pct, profile=None, n_sessions=5, duration_s=30.0,
+def loss_sweep(loss_values_pct, n_sessions=5, duration_s=30.0,
                seeds=(0, 1, 2, 3, 4)):
     """Frame-rate MAE of the size heuristic vs Bernoulli loss rate,
     averaged over seeds."""
     return _impairment_sweep(
         loss_values_pct, lambda loss_pct: ImpairmentProfile(
             delay_jitter_ms=5.0, loss_prob=loss_pct / 100.0),
-        profile, n_sessions, duration_s, seeds)
+        n_sessions, duration_s, seeds)
 
 
-def jitter_sweep(jitter_values_ms, profile=None, n_sessions=5,
-                 duration_s=30.0, seeds=(0, 1, 2, 3, 4)):
+def jitter_sweep(jitter_values_ms, n_sessions=5, duration_s=30.0,
+                 seeds=(0, 1, 2, 3, 4)):
     """Frame-rate MAE of the size heuristic vs delay jitter, averaged over
     seeds."""
     return _impairment_sweep(
         jitter_values_ms,
         lambda jitter_ms: ImpairmentProfile(delay_jitter_ms=jitter_ms),
-        profile, n_sessions, duration_s, seeds)
+        n_sessions, duration_s, seeds)
 
 
-def window_sweep(window_sizes_s, profile=None, n_sessions=5,
-                 duration_s=60.0, seed=0,
-                 impairment=ImpairmentProfile(delay_jitter_ms=30.0,
-                                              loss_prob=0.02)):
-    """Frame-rate MAE vs prediction window size on one impaired corpus;
-    each size is a positive whole number of seconds."""
-    profile = profile or SenderProfile()
-    corpus = _corpus(profile, n_sessions, duration_s, seed, impairment)
+def window_sweep(window_sizes_s, n_sessions=5, duration_s=60.0, seed=0):
+    """Frame-rate MAE vs prediction window size on one corpus with 30 ms
+    delay jitter and 2 % loss; each size is a positive whole number of
+    seconds."""
+    corpus = _corpus(SenderProfile(), n_sessions, duration_s, seed,
+                     ImpairmentProfile(delay_jitter_ms=30.0, loss_prob=0.02))
     return sweep(lambda w: _fps_mae(corpus, w=w), list(window_sizes_s))
 
 
-def lookback_sweep(lookbacks, profile=None, n_sessions=5, duration_s=30.0,
-                   seed=0, impairment=None):
+# One packet per frame and adjacent-only size separation: a deep lookback
+# wrongly merges alternating same-size frames.
+LOW_RATE_SENDER = SenderProfile(bitrate_kbps=250.0, frame_size_jitter=0.0,
+                                keyframe_interval=0, separable_depth=1)
+
+
+def lookback_sweep(lookbacks, n_sessions=5, duration_s=30.0, seed=0):
     """Frame-rate MAE vs packet-lookback depth, each a positive integer,
-    on one corpus.
-
-    The default profile mimics a low-rate sender with one packet per frame
-    and adjacent-only size separation, where deep lookback wrongly merges
-    alternating same-size frames.
-    """
-    profile = profile or SenderProfile(
-        bitrate_kbps=250.0, frame_size_jitter=0.0, keyframe_interval=0,
-        separable_depth=1)
-    corpus = _corpus(profile, n_sessions, duration_s, seed, impairment)
-
-    def run(n_max):
-        params = IpUdpAssemblyParams(n_max=n_max)
-        return _fps_mae(corpus, params)
-
-    return sweep(run, list(lookbacks))
+    on one corpus of LOW_RATE_SENDER calls."""
+    corpus = _corpus(LOW_RATE_SENDER, n_sessions, duration_s, seed)
+    return sweep(lambda n_max: _fps_mae(
+        corpus, IpUdpAssemblyParams(n_max=n_max)), list(lookbacks))

@@ -26,7 +26,8 @@ from .classify import PayloadTypeMap
 from .heuristics import whole_seconds, window_series
 from .ingest import GroundTruthSeries, _atomic_write_csv, read_csv_rows
 from .session import (MEDIA_CODE, MICROS_PER_S, NO_CLASS, RTP_FIXED_HEADER_LEN,
-                      MediaClass, PacketColumns, RecordFields, Session)
+                      RTP_VIDEO_CLOCK_HZ, MediaClass, PacketColumns,
+                      RecordFields, Session)
 
 FRAME_LOG_DTYPE = np.dtype([(name, np.int64) for name in (
     "frame_id", "emit_us", "complete_us", "media_bytes", "rtp_ts")])
@@ -43,6 +44,8 @@ SEPARATION_MARGIN = 4
 
 SRC = (0x0A000002, 50000)      # 10.0.0.2, as an integer
 DST = (0xC000020A, 3478)        # 192.0.2.10
+VIDEO_SSRC = 0x11111111
+AUDIO_SSRC = 0x22222222
 
 
 class InvalidProfile(ValueError):
@@ -59,17 +62,14 @@ class SenderProfile:
     frame_size_jitter: float = 0.05     # relative stddev (lognormal)
     audio_pps: float = 50.0
     audio_size_range: tuple = (89, 385)
-    sampling_freq: int = 90000
     payload_type_map: Optional[Dict[int, MediaClass]] = None
     separable: bool = True
     separable_depth: int = 3
     start_time_s: float = 1_700_000_000.2
-    video_ssrc: int = 0x11111111
-    audio_ssrc: int = 0x22222222
 
     @property
     def rtp_ts_increment(self):
-        return self.sampling_freq / self.fps
+        return RTP_VIDEO_CLOCK_HZ / self.fps
 
     def ptmap(self):
         if self.payload_type_map:
@@ -167,8 +167,9 @@ def _separate(sizes, n_pkts, depth):
 
 
 def generate(profile: SenderProfile, duration_s: float, seed: int,
-             session_id=None, vca_label="synthetic"):
-    """Generate (Session, GroundTruthSeries, frame log) for one session.
+             session_id=None):
+    """Generate (Session, GroundTruthSeries, frame log) for one session,
+    labeled "synthetic".
 
     Draws come from one generator in a fixed order: one normal per frame
     (when frame_size_jitter > 0), then one integer per audio packet. A
@@ -220,7 +221,7 @@ def generate(profile: SenderProfile, duration_s: float, seed: int,
         np.repeat(emit_us, counts) + index * INTRA_FRAME_GAP_US,
         media + RTP_FIXED_HEADER_LEN, pt_video, np.repeat(rtp_ts, counts),
         index == np.repeat(n_pkts - 1, counts),
-        np.arange(len(index)) & 0xFFFF, SRC[1], profile.video_ssrc))]
+        np.arange(len(index)) & 0xFFFF, SRC[1], VIDEO_SSRC))]
     # Interleaved audio stream.
     if profile.audio_pps > 0 and pt_audio is not None:
         lo, hi = profile.audio_size_range
@@ -230,14 +231,14 @@ def generate(profile: SenderProfile, duration_s: float, seed: int,
                 np.int64) + 37,
             rng.integers(lo, hi + 1, len(k)), pt_audio,
             (k * 48000 / profile.audio_pps).astype(np.int64) & 0xFFFFFFFF,
-            1, k & 0xFFFF, SRC[1] + 2, profile.audio_ssrc)))
+            1, k & 0xFFFF, SRC[1] + 2, AUDIO_SSRC)))
     rows = np.concatenate(parts, axis=1)
     rows = rows[:, np.argsort(rows[0], kind="stable")]
     n = rows.shape[1]
     if not n:
         raise InvalidProfile(f"no packet is sent in {duration_s} s")
     sid = session_id or f"synth-{seed}"
-    session = Session(sid, vca_label, columns=PacketColumns(
+    session = Session(sid, "synthetic", columns=PacketColumns(
         *rows[:6], np.full(n, NO_CLASS)), fields=RecordFields(
         np.full(n, SRC[0]), np.full(n, DST[0]), rows[6], np.full(n, DST[1]),
         rows[7], np.full(n, 0x80), np.full(n, RTP_FIXED_HEADER_LEN),

@@ -17,12 +17,12 @@ class NotFitted(RuntimeError):
     pass
 
 
-def check_matrix(X, name="X"):
+def check_matrix(X):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {X.shape}")
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
     if not np.isfinite(X).all():
-        raise NonFiniteInput(f"{name} contains non-finite values")
+        raise NonFiniteInput("X contains non-finite values")
     return X
 
 
@@ -37,7 +37,7 @@ def check_X_y(X, y):
     return X, y
 
 
-def check_fitted(estimator, attr="trees_"):
-    if not hasattr(estimator, attr):
+def check_fitted(estimator):
+    if not hasattr(estimator, "trees_"):
         raise NotFitted(
             f"{type(estimator).__name__} is not fitted; call fit() first")

@@ -125,8 +125,8 @@ def test_criterion_04_media_classification():
         assert len(rep.counts) == 2 and len(rep.counts[0]) == 2
         assert all(sum(row) == pytest.approx(100.0)
                    for row in rep.row_percent)
-        recall.append(rep.video_recall())
-        rejection.append(rep.non_video_rejection())
+        recall.append(rep.recall("video"))
+        rejection.append(rep.recall("non_video"))
     assert recall == [1.0] * 5
     assert rejection == [1.0] * 5
     _report(4, "100% video recall and 100% non-video rejection with "

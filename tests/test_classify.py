@@ -77,7 +77,7 @@ def test_report_perfect_diagonal():
     rep = classification_report(pred, truth)
     assert rep.row_percent[0][0] == 100.0
     assert rep.row_percent[1][1] == 100.0
-    assert rep.video_recall() == 1.0
+    assert rep.recall("video") == 1.0
 
 
 def test_report_empty_is_zero_matrix():
@@ -111,8 +111,8 @@ def test_generator_corpus_fitted_vmin_is_exact():
     threshold = fit_vmin(truth)
     pred = classify_by_size(session, threshold)
     rep = classification_report(pred, truth)
-    assert rep.video_recall() == 1.0
-    assert rep.non_video_rejection() == 1.0
+    assert rep.recall("video") == 1.0
+    assert rep.recall("non_video") == 1.0
 
 
 def test_load_payload_type_map(tmp_path):

@@ -218,6 +218,54 @@ def test_sweep_lookback(tmp_path):
     assert len(lines) == 3
 
 
+# sha256 of classify's JSON for synth-100, by the threshold flags
+CLASSIFY_DIGESTS = {
+    ("--fit-vmin",):
+        "e30929be8961f0755db86b2cafe4cfacc406e5986b11fc16500af309589e5b1b",
+    ("--vmin", "400"):
+        "2adb772f9618a6fade0d57c450ff4c05de7e3e7233764f7f2eb460d0d3de6586",
+    ("--vmin", "1000"):
+        "2b59f0b4fe89bb20827147b81fd2fd0b9eecc5380d7754601acb5a41ab6fc11a",
+}
+
+
+def test_classify_bytes_are_pinned(tmp_path, corpus):
+    got = {}
+    for flags in CLASSIFY_DIGESTS:
+        report = tmp_path / "report.json"
+        assert run(["classify", str(corpus / "synth-100.packets.csv"),
+                    *flags, "-o", str(report)]) == 0
+        got[flags] = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert got == CLASSIFY_DIGESTS
+
+
+# sha256 of sweep's table for one 4 s session and one seed, by (axis, values)
+SWEEP_DIGESTS = {
+    ("loss", "0,20"):
+        "bdedcac2434fb875f1e6245ac6ecc91b8c778fe0e2b53a234bb4c45686e37d37",
+    ("jitter", "0,20"):
+        "ff96221d63f091790fd8c7e0692a37bfdec2695720f3c4f929938dfa988944ab",
+    ("window", "1,2"):
+        "92951d18a209c4da4374b0a65240a1231a2393b980d3ef1540fc9dfa8d653a18",
+    ("lookback", "1,2"):
+        "ee7d44938d996722d8ef9df3aa0560d2166dd0ac23e7490751dc9f8d222175b1",
+}
+
+
+def test_sweep_bytes_are_pinned(tmp_path, capsys):
+    got = {}
+    for axis, values in SWEEP_DIGESTS:
+        table = tmp_path / f"{axis}.csv"
+        argv = ["sweep", "--axis", axis, "--values", values, "--sessions",
+                "1", "--duration", "4", "--n-seeds", "1"]
+        assert run(argv + ["-o", str(table)]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out.encode() == table.read_bytes()
+        got[axis, values] = hashlib.sha256(table.read_bytes()).hexdigest()
+    assert got == SWEEP_DIGESTS
+
+
 def test_config_defaults_flags_win(tmp_path, corpus):
     cfg = tmp_path / "cfg"
     cfg.write_text("vmin=600\nwindow=1\n")
@@ -333,6 +381,32 @@ def test_evaluate_resolution_class_labels(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["classes"] == ["low", "medium", "high"]
     assert doc["accuracy"] == pytest.approx(2 / 3)
+
+
+def test_evaluate_resolution_classes_sort_by_height(tmp_path):
+    truth = tmp_path / "call.truth.csv"
+    truth.write_text("t_sec,fps,bitrate_kbps,frame_jitter_ms,frame_height\n"
+                     "10,30,800,1,180\n11,30,800,1,1080\n12,30,800,1,360\n")
+    report = tmp_path / "res.json"
+    assert run(["evaluate", str(truth), str(truth), "--metric", "resolution",
+                "-o", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["classes"] == ["180", "360", "1080"]
+    assert doc["counts"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_evaluate_resolution_with_nothing_to_score_is_an_input_error(
+        tmp_path, corpus, capsys):
+    """analyze estimates no height, so no window pairs a known height with
+    a prediction: like fps without a valid pair, that exits 1."""
+    est, report = tmp_path / "est.csv", tmp_path / "res.json"
+    assert run(["analyze", str(corpus / "synth-100.packets.csv"),
+                "-o", str(est)]) == 0
+    capsys.readouterr()
+    assert run(["evaluate", str(est), str(corpus / "synth-100.truth.csv"),
+                "--metric", "resolution", "-o", str(report)]) == 1
+    assert "no valid pairs" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_evaluate_reads_truth_as_a_truth_csv_only(tmp_path, capsys):

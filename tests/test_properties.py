@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from vcaqoe.assembly import (AssemblyDiagnostics, IpUdpAssemblyParams,
                              MissingRtp, assemble_ipudp, assemble_rtp,
                              diagnose, lookback_labels)
-from vcaqoe.classify import (PayloadTypeMap, SizeThreshold,
+from vcaqoe.classify import (KEEPALIVE_LEN, PayloadTypeMap, SizeThreshold,
                              classify_by_payload_type, classify_by_size)
 from vcaqoe.features import (RTP_FEATURE_NAMES, SemanticParams,
                              session_feature_rows)
@@ -28,11 +28,12 @@ from vcaqoe.ingest import (read_ground_truth_csv, read_packet_csv, read_pcap,
                            write_pcap)
 from vcaqoe.pipeline import analyze_session, paired_metric
 from vcaqoe.session import (MEDIA_CODE, NO_CLASS, NO_HEIGHT, NO_RTP,
-                            RTP_FIXED_HEADER_LEN, MediaClass, PacketColumns,
-                            PacketRecord, RecordFields, RtpHeader, Session,
-                            WindowTable)
-from vcaqoe.synth import (DST, INTRA_FRAME_GAP_US, MIN_PACKET_MEDIA,
-                          SEPARATION_MARGIN, SRC, FrameLogEntry,
+                            RTP_FIXED_HEADER_LEN, RTP_VIDEO_CLOCK_HZ,
+                            MediaClass, PacketColumns, PacketRecord,
+                            RecordFields, RtpHeader, Session, WindowTable)
+from vcaqoe.synth import (AUDIO_SSRC, DST, INTRA_FRAME_GAP_US,
+                          MIN_PACKET_MEDIA, SEPARATION_MARGIN, SRC,
+                          VIDEO_SSRC, FrameLogEntry,
                           ImpairmentProfile, SenderProfile, _fragments,
                           generate, impair, truth_from_frame_log)
 
@@ -314,7 +315,7 @@ def reference_feature_rows(tagged, feature_set, w, params):
         origin = (frames[0][0], frames[0][2])
         for f in frames:
             lags[f[0] // wus * w].append(
-                reference_lag(f, origin, params.sampling_freq))
+                reference_lag(f, origin, RTP_VIDEO_CLOCK_HZ))
     rows = []
     for k in keys:
         vid = [p for p in in_window[k] if p.media_class is MediaClass.VIDEO]
@@ -531,7 +532,7 @@ def test_payload_type_classify_matches_lookup(rows):
     expected = []
     for pt, length in rows:
         cls = MediaClass.OTHER if pt == NO_RTP else lookup(ptmap, pt)
-        if cls is MediaClass.VIDEO_RETX and length == ptmap.keepalive_len:
+        if cls is MediaClass.VIDEO_RETX and length == KEEPALIVE_LEN:
             cls = MediaClass.OTHER
         expected.append(MEDIA_CODE[cls])
     pt, length = np.array(rows, dtype=np.int64).reshape(-1, 2).T
@@ -754,7 +755,7 @@ def reference_generate(profile, duration_s, seed, session_id=None,
             packets.append((emit_us + j * INTRA_FRAME_GAP_US,
                             media + RTP_FIXED_HEADER_LEN, pt_video, rtp_ts,
                             j == n_pkts - 1, seq & 0xFFFF, SRC[1],
-                            profile.video_ssrc))
+                            VIDEO_SSRC))
             seq += 1
         complete_us = emit_us + (n_pkts - 1) * INTRA_FRAME_GAP_US
         frame_log.append(FrameLogEntry(i, emit_us, complete_us, size, rtp_ts))
@@ -768,7 +769,7 @@ def reference_generate(profile, duration_s, seed, session_id=None,
             size = int(rng.integers(lo, hi + 1))
             packets.append((t_us, size, pt_audio,
                             int(k * 48000 / profile.audio_pps) & 0xFFFFFFFF,
-                            True, k & 0xFFFF, SRC[1] + 2, profile.audio_ssrc))
+                            True, k & 0xFFFF, SRC[1] + 2, AUDIO_SSRC))
 
     rows = np.array(packets, dtype=np.int64).reshape(-1, 8).T
     rows = rows[:, np.argsort(rows[0], kind="stable")]

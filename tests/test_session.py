@@ -109,6 +109,18 @@ def test_session_rejects_unsorted():
         Session("s", "", packets)
 
 
+@pytest.mark.parametrize("address", ["1.2", "10.0.0.02", "10.0.0.1 ",
+                                     "300.1.1.1"])
+@pytest.mark.parametrize("side", ["src", "dst"])
+def test_session_rejects_an_address_the_readers_reject(address, side):
+    """The writers take only addresses that read_pcap and read_packet_csv
+    read back as written: strict dotted quads."""
+    good = "192.0.2.1"
+    src, dst = (address, good) if side == "src" else (good, address)
+    with pytest.raises(ValueError, match=repr(address)):
+        Session("s", "", [PacketRecord(1, src, dst, 1, 2, 100)])
+
+
 def test_media_class_values():
     assert {c.value for c in MediaClass} == {"audio", "video", "video_retx",
                                             "other"}
