@@ -39,35 +39,62 @@ class FeatureNameMismatch(ForestError):
     pass
 
 
+def _indices(a):
+    """a as int64; TypeError unless every entry is an integer."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise TypeError(f"node indices of type {a.dtype}, not integers")
+    return a.astype(np.int64)
+
+
 class _Tree:
     """Flat-array binary tree; leaves have feature == -1."""
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
     def __init__(self, feature, threshold, left, right, value):
-        self.feature, self.left, self.right = (
-            np.asarray(a, dtype=np.int64) for a in (feature, left, right))
+        self.feature, self.left, self.right = map(_indices,
+                                                  (feature, left, right))
         self.threshold, self.value = (
             np.asarray(a, dtype=np.float64) for a in (threshold, value))
-
-    def predict(self, X):
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[node] >= 0
-        while active.any():
-            idx = np.nonzero(active)[0]
-            nd = node[idx]
-            go_left = X[idx, self.feature[nd]] <= self.threshold[nd]
-            node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-            active = self.feature[node] >= 0
-        return self.value[node]
 
     def to_dict(self):
         return {k: getattr(self, k).tolist() for k in self.__slots__}
 
 
-# (row, drawn feature) entries one level of a group of trees sorts at once:
-# bounds a level's memory, and lets shallow trees share a level's overhead.
+# (row, drawn feature) entries one level of a group of trees sorts at once,
+# and (tree, row) entries one predict step moves: bounds a level's memory,
+# and lets shallow trees share a level's overhead.
 _LEVEL_ENTRIES = 1 << 15
+
+
+def _node_table(trees):
+    """Every tree's nodes in one table of slots. Node i, numbered from the
+    table's start, owns slots 2 i and 2 i + 1, which both hold its feature,
+    threshold and value; slot 2 i leads left and 2 i + 1 right, and
+    child[s] is the first slot of the node that slot s leads to. A leaf
+    leads to itself both ways and reads feature 0, so a walk steps past it
+    unchanged. Also returns each tree's first slot and the most splits on
+    any root-to-leaf path, found over the split nodes alone (children
+    follow their parent, so this ends)."""
+    sizes = np.array([len(t.feature) for t in trees])
+    roots = np.cumsum(sizes) - sizes
+    feature, threshold, value, left, right = (
+        np.concatenate([getattr(t, k) for t in trees])
+        for k in ("feature", "threshold", "value", "left", "right"))
+    split = feature >= 0
+    child = np.where(split, np.stack([left, right]) + np.repeat(roots, sizes),
+                     np.arange(len(feature))).T.ravel()
+    depth, frontier = 0, roots[split[roots]]
+    reached = np.zeros(len(feature), dtype=bool)
+    while len(frontier):
+        reached[:] = False
+        reached[child[2 * frontier[:, None] + [0, 1]]] = True
+        frontier = np.flatnonzero(reached & split)
+        depth += 1
+    return (*(np.repeat(a, 2) for a in (np.where(split, feature, 0),
+                                        threshold, value)),
+            2 * child, 2 * roots, depth)
 
 
 def _ranges(starts, lengths):
@@ -259,12 +286,31 @@ class _BaseForest:
         return trees, importances
 
     def _predict_matrix(self, X):
+        """Each tree's leaf value for each row of X, as an (n_trees, n_rows)
+        matrix, from one walk over every tree at once."""
         check_fitted(self)
         X = check_matrix(X)
         if X.shape[1] != self.n_features_:
             raise DimensionMismatch(
                 f"model expects {self.n_features_} features, got {X.shape[1]}")
-        return np.stack([t.predict(X) for t in self.trees_])
+        feature, threshold, value, child, first, depth = _node_table(
+            self.trees_)
+        n = len(X)
+        out = np.empty((len(first), n))
+        # equal blocks of rows, as few as keep a block's (tree, row) entries
+        # within _LEVEL_ENTRIES; each step moves every entry one level down.
+        # X and the thresholds are finite, so > is "not <=": the right slot
+        blocks = max(1, math.ceil(n / max(1, _LEVEL_ENTRIES // len(first))))
+        step = max(1, math.ceil(n / blocks))
+        for start in range(0, n, step):
+            block = X[start:start + step]
+            b, Xt = len(block), block.T.ravel()
+            at, row = feature * b, np.tile(np.arange(b), len(first))
+            slot = np.repeat(first, b)
+            for _ in range(depth):
+                slot = child[slot + (Xt[at[slot] + row] > threshold[slot])]
+            out[:, start:start + b] = value[slot].reshape(-1, b)
+        return out
 
 
 class RandomForestRegressor(_BaseForest):
@@ -364,20 +410,34 @@ def save_forest(model, path, feature_names):
     _atomic_write_bytes(path, json.dumps(doc, sort_keys=True).encode())
 
 
-def _check_trees(trees, n_features):
-    """ForestError unless each tree's arrays have one non-zero length and
-    each split names a known feature and two nodes after it."""
+def _check_trees(trees, n_features, n_classes=None):
+    """ForestError unless there are trees, each tree's arrays have one
+    non-zero length, each split names a known feature and two nodes after
+    it, every threshold and value is finite and, for a classifier of
+    n_classes classes, every leaf value is a class index."""
+    if not trees:
+        raise ForestError("no trees")
     sizes = [len(t.feature) for t in trees]
     if not all(sizes) or any(len(getattr(t, k)) != n for t, n in
                              zip(trees, sizes) for k in _Tree.__slots__):
         raise ForestError("tree arrays are empty or differ in length")
-    f, left, right = (np.concatenate([getattr(t, k) for t in trees])
-                      for k in ("feature", "left", "right"))
+    f, threshold, left, right, value = (
+        np.concatenate([getattr(t, k) for t in trees]) for k in _Tree.__slots__)
     end = np.repeat(sizes, sizes)
     node = np.arange(len(f)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     lo, hi = np.minimum(left, right), np.maximum(left, right)
-    if ((f >= n_features) | (f >= 0) & ((lo <= node) | (hi >= end))).any():
+    if ((f < -1) | (f >= n_features)
+            | (f >= 0) & ((lo <= node) | (hi >= end))).any():
         raise ForestError("a tree splits on an unknown feature or node")
+    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+        raise ForestError("a threshold or node value is not finite")
+    if n_classes is not None:
+        if not n_classes:
+            raise ForestError("a classifier with no classes")
+        leaf = value[f < 0]
+        if ((leaf % 1 != 0) | (leaf < 0) | (leaf >= n_classes)).any():
+            raise ForestError(f"a leaf value is not a class index below "
+                              f"{n_classes}")
 
 
 def load_forest(path, expected_feature_names=None):
@@ -388,18 +448,20 @@ def load_forest(path, expected_feature_names=None):
         raise ForestError(f"{path}: not a model (no JSON object)")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ForestError(
-            f"unsupported model format {doc.get('format_version')}")
+            f"{path}: unsupported model format {doc.get('format_version')}")
     try:
         names = list(doc["feature_names"])
         cls = {"regression": RandomForestRegressor,
                "classification": RandomForestClassifier}[doc["task"]]
         model = cls(**doc["params"])
         model.trees_ = [_Tree(**t) for t in doc["trees"]]
-        _check_trees(model.trees_, len(names))
         model.feature_importances_ = np.asarray(doc["feature_importances"],
                                                 dtype=np.float64)
+        n_classes = None
         if cls is RandomForestClassifier:
             model.classes_ = np.asarray(doc["classes"])
+            n_classes = len(model.classes_)
+        _check_trees(model.trees_, len(names), n_classes)
     except (KeyError, TypeError, ValueError, ForestError) as exc:
         raise ForestError(f"{path}: malformed model "
                           f"({type(exc).__name__}: {exc})") from exc

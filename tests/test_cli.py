@@ -193,6 +193,31 @@ def test_evaluate_bytes_are_pinned(tmp_path, impaired):
     assert got == EVALUATE_DIGESTS
 
 
+# sha256 of predict's CSV for a 5-tree model of each target trained on the
+# impaired corpus's features
+PREDICT_DIGESTS = {
+    "fps":
+        "e6443b70e981451fea649b57308c1f1d6303a711850a6ac1e36227476d541c2f",
+    "bitrate":
+        "d4fec0f3cfdad1313c7b988be08583243fc77551debfb8aca8eb798b27434e5b",
+    "resolution":
+        "0936544b0256479104f4debd10a7ff004cd5ae5c3d29ef3f1b828ead67feccd8",
+}
+
+
+def test_predict_bytes_are_pinned(tmp_path, impaired):
+    feats = tmp_path / "features.csv"
+    assert run(["features", str(impaired), "-o", str(feats)]) == 0
+    got = {}
+    for target in PREDICT_DIGESTS:
+        model, preds = tmp_path / f"{target}.json", tmp_path / f"{target}.csv"
+        assert run(["train", str(feats), "--target", target, "--trees", "5",
+                    "-o", str(model)]) == 0
+        assert run(["predict", str(model), str(feats), "-o", str(preds)]) == 0
+        got[target] = hashlib.sha256(preds.read_bytes()).hexdigest()
+    assert got == PREDICT_DIGESTS
+
+
 def test_resolution_training(tmp_path, corpus):
     feats = tmp_path / "features.csv"
     assert run(["features", str(corpus), "-o", str(feats)]) == 0
@@ -733,27 +758,73 @@ def test_missing_truth_cell_is_accepted(tmp_path, fps_model):
                 "-o", str(tmp_path / "m.json")]) == 0
 
 
-@pytest.mark.parametrize("damage", ["no_feature_names", "list", "ragged_tree",
-                                    "child_loop", "feature_out_of_range"])
-def test_malformed_model_is_an_input_error(tmp_path, fps_model, capsys,
-                                           damage):
-    feats, model = fps_model
-    doc = json.loads(model.read_text())
+@pytest.fixture(scope="module")
+def resolution_model(tmp_path_factory, fps_model):
+    """A resolution classifier trained on fps_model's feature CSV."""
+    model = tmp_path_factory.mktemp("resolution_model") / "res.model.json"
+    assert run(["train", str(fps_model[0]), "--target", "resolution",
+                "--trees", "3", "-o", str(model)]) == 0
+    return model
+
+
+def _damaged(doc, damage):
+    """A model document with one fault; its first tree splits at its root
+    and ends in a leaf."""
+    tree = doc["trees"][0]
     if damage == "no_feature_names":
         del doc["feature_names"]
     elif damage == "list":
         doc = [doc]
     elif damage == "ragged_tree":
-        doc["trees"][0]["threshold"].append(0.5)
+        tree["threshold"].append(0.5)
     elif damage == "child_loop":
-        doc["trees"][0]["left"][0] = 0
-    else:
-        doc["trees"][0]["feature"][0] = len(doc["feature_names"])
+        tree["left"][0] = 0
+    elif damage == "feature_out_of_range":
+        tree["feature"][0] = len(doc["feature_names"])
+    elif damage == "negative_feature":
+        tree["feature"] = [-5 if f >= 0 else f for f in tree["feature"]]
+    elif damage == "fractional_feature":
+        tree["feature"][0] = 1.5
+    elif damage == "nan_threshold":
+        tree["threshold"][0] = float("nan")
+    elif damage == "nan_value":
+        tree["value"][-1] = float("nan")
+    elif damage == "no_trees":
+        doc["trees"] = []
+    elif damage == "class_out_of_range":
+        tree["value"][-1] = 99.0
+    elif damage == "fractional_class":
+        tree["value"][-1] = 0.5
+    else:   # no_classes
+        doc["classes"] = []
+    return doc
+
+
+# what the error says of each fault _damaged makes
+DAMAGE_SAID = {
+    "no_feature_names": "feature_names", "list": "not a model",
+    "ragged_tree": "differ in length", "child_loop": "unknown feature or node",
+    "feature_out_of_range": "unknown feature or node",
+    "negative_feature": "unknown feature or node",
+    "fractional_feature": "not integers", "nan_threshold": "not finite",
+    "nan_value": "not finite", "no_trees": "no trees",
+    "class_out_of_range": "not a class index",
+    "fractional_class": "not a class index", "no_classes": "no classes"}
+
+
+@pytest.mark.parametrize("damage", DAMAGE_SAID)
+def test_malformed_model_is_an_input_error(tmp_path, fps_model,
+                                           resolution_model, capsys, damage):
+    feats, model = fps_model
+    if "class" in damage:
+        model = resolution_model
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(_damaged(json.loads(model.read_text()),
+                                       damage)))
     preds = tmp_path / "preds.csv"
     assert run(["predict", str(bad), str(feats), "-o", str(preds)]) == 1
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err and DAMAGE_SAID[damage] in err
     assert not preds.exists()
 
 

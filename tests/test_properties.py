@@ -13,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vcaqoe import forest
 from vcaqoe.assembly import (AssemblyDiagnostics, IpUdpAssemblyParams,
                              MissingRtp, assemble_ipudp, assemble_rtp,
                              diagnose, lookback_labels)
@@ -21,7 +22,7 @@ from vcaqoe.classify import (KEEPALIVE_LEN, PayloadTypeMap, SizeThreshold,
 from vcaqoe.features import (RTP_FEATURE_NAMES, SemanticParams,
                              session_feature_rows)
 from vcaqoe.forest import (RandomForestClassifier, RandomForestRegressor,
-                           _best_splits, _column_ranks)
+                           _best_splits, _column_ranks, _Tree)
 from vcaqoe.heuristics import segment_stats, session_windows, window_series
 from vcaqoe.ingest import (read_ground_truth_csv, read_packet_csv, read_pcap,
                            write_ground_truth_csv, write_packet_csv,
@@ -693,6 +694,7 @@ def test_level_wise_growth_matches_depth_first(problem, min_leaf, max_depth,
     y = model._encode_targets(problem[1])
     n_classes = len(np.unique(problem[1]))
     grid = np.vstack([X, X + 0.5, X - 0.5])
+    pred = model._predict_matrix(grid)
     for t, tree in enumerate(model.trees_):
         rows = np.arange(len(y))
         if bootstrap:
@@ -701,8 +703,89 @@ def test_level_wise_growth_matches_depth_first(problem, min_leaf, max_depth,
         ref = reference_tree(X[rows], y[rows], 0, max_depth, min_leaf, task,
                              n_classes)
         assert len(tree.feature) == reference_nodes(ref)
-        assert list(tree.predict(grid)) == [reference_predict(ref, x)
-                                            for x in grid]
+        assert list(pred[t]) == [reference_predict(ref, x) for x in grid]
+
+
+def reference_of(tree, node=0):
+    """A _Tree's subtree at node, in reference_tree's form."""
+    if tree.feature[node] < 0:
+        return tree.value[node]
+    return (tree.feature[node], tree.threshold[node],
+            reference_of(tree, tree.left[node]),
+            reference_of(tree, tree.right[node]))
+
+
+def tree_of(ref):
+    """A _Tree of a tree in reference_tree's form, nodes in preorder."""
+    nodes = []
+
+    def visit(ref):
+        i = len(nodes)
+        nodes.append(None)
+        if isinstance(ref, tuple):
+            f, thr, left, right = ref
+            nodes[i] = (f, thr, visit(left), visit(right), 0.0)
+        else:
+            nodes[i] = (-1, 0.0, -1, -1, ref)
+        return i
+    visit(ref)
+    return _Tree(*zip(*nodes))
+
+
+# trees in reference_tree's form on three features, with half-integer
+# thresholds that integer rows may equal
+hand_trees = st.recursive(
+    st.integers(-9, 9).map(float),
+    lambda kids: st.tuples(st.integers(0, 2), st.integers(-7, 7).map(
+        lambda v: v / 2), kids, kids), max_leaves=16)
+CHAIN = (0, 0.5, (1, 1.0, (2, -1.0, (0, 0.0, (1, 2.5, 1.0, 2.0), 3.0), 4.0),
+                  5.0), 6.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(refs=st.lists(hand_trees, min_size=1, max_size=6),
+       rows=st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+                     max_size=30),
+       entries=st.integers(1, 40))
+@example(refs=[CHAIN, 7.0, CHAIN[2]], rows=[[0, 1, -1], [1, 1, 2]],
+         entries=1)
+def test_flat_walk_matches_per_tree_reference_on_hand_built_trees(
+        refs, rows, entries):
+    """Trees of any depth, however deep the model's max_depth param says
+    they are, with the rows split over blocks of at most entries."""
+    model = RandomForestRegressor(max_depth=1)
+    model.trees_ = [tree_of(ref) for ref in refs]
+    model.n_features_ = 3
+    X = np.array(rows, dtype=float).reshape(-1, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest, "_LEVEL_ENTRIES", entries)
+        got = model._predict_matrix(X)
+    assert got.shape == (len(refs), len(X))
+    for t, ref in enumerate(refs):
+        assert list(got[t]) == [reference_predict(ref, x) for x in X]
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=split_problems(), max_depth=st.integers(1, 8),
+       seed=st.integers(0, 2**16), entries=st.integers(1, 200),
+       task=st.sampled_from(["regression", "classification"]))
+@example(problem=([[0, 1], [2, 3], [1, 1]], [2, 2, 2]), max_depth=4,
+         seed=0, entries=1, task="regression")
+def test_flat_walk_matches_per_tree_reference(problem, max_depth, seed,
+                                              entries, task):
+    """Fitted regressors and classifiers, root-only trees of a constant
+    target and bootstrap trees of mixed depth, over several blocks."""
+    X = np.array(problem[0], dtype=float)
+    cls = (RandomForestRegressor if task == "regression"
+           else RandomForestClassifier)
+    model = cls(n_trees=5, max_depth=max_depth, seed=seed).fit(X, problem[1])
+    grid = np.vstack([X, X + 0.5, X - 0.5])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest, "_LEVEL_ENTRIES", entries)
+        got = model._predict_matrix(grid)
+    for t, tree in enumerate(model.trees_):
+        ref = reference_of(tree)
+        assert list(got[t]) == [reference_predict(ref, x) for x in grid]
 
 
 def reference_generate(profile, duration_s, seed, session_id=None,
