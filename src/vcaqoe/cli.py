@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import glob
+import hashlib
 import json
 import math
 import os
@@ -242,7 +243,15 @@ def cmd_train(args):
     model = forest(n_trees=args.trees, max_depth=args.depth,
                    min_samples_leaf=args.min_leaf, seed=args.seed)
     model.fit(X[keep], y)
-    save_forest(model, args.output, names)
+    with open(args.data, "rb") as fh:
+        sha256 = hashlib.sha256(fh.read()).hexdigest()[:16]
+    # the feature CSV's path from the model's directory, so that the same
+    # files in another directory train the same model bytes
+    where = os.path.relpath(args.data,
+                            os.path.dirname(os.path.abspath(args.output)))
+    save_forest(model, args.output, names, provenance={
+        "features_csv": where, "rows": len(X), "sha256": sha256,
+        "target": args.target, "vcaqoe_version": __version__})
     return 0
 
 
@@ -250,7 +259,7 @@ def cmd_predict(args):
     _sessions, windows, names, X, _truth = _read_feature_csv(args.data)
     model = load_forest(args.model, names)
     preds = model.predict(X)
-    rows = [[s, w, p] for s, w, p in zip(_sessions, windows, preds)]
+    rows = [[s, w, p] for s, w, p in zip(_sessions, windows, preds.tolist())]
     _atomic_write_csv(args.output, PREDICTION_HEADER, rows)
     return 0
 

@@ -10,9 +10,11 @@ sample and per-node feature subsets from its own RNG stream derived from
 
 from __future__ import annotations
 
+import base64
 import inspect
 import json
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .ingest import _atomic_write_bytes
 from .validation import (DimensionMismatch, check_fitted, check_matrix,
                          check_X_y)
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class ForestError(Exception):
@@ -44,13 +46,20 @@ def _indices(a):
     a = np.asarray(a)
     if a.size and a.dtype.kind not in "iu":
         raise TypeError(f"node indices of type {a.dtype}, not integers")
-    return a.astype(np.int64)
+    return a.astype(np.int64, copy=False)
+
+
+# a node's fields, and the dtype of each one's array in a model file
+_FILE_DTYPES = {"feature": "<i4", "threshold": "<f8", "left": "<i4",
+                "right": "<i4", "value": "<f8"}
 
 
 class _Tree:
-    """Flat-array binary tree; leaves have feature == -1."""
+    """Flat-array binary tree; leaves have feature == -1, and children are
+    numbered from the tree's first node. A forest keeps all its trees end
+    to end in one _Tree, its node table."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    __slots__ = tuple(_FILE_DTYPES)
 
     def __init__(self, feature, threshold, left, right, value):
         self.feature, self.left, self.right = map(_indices,
@@ -62,28 +71,43 @@ class _Tree:
         return {k: getattr(self, k).tolist() for k in self.__slots__}
 
 
+class _Trees(Sequence):
+    """A node table's trees, each a _Tree of views made when it is read,
+    so that holding them costs nothing per tree."""
+
+    def __init__(self, sizes, nodes):
+        self._sizes, self._ends, self._nodes = sizes, np.cumsum(sizes), nodes
+
+    def __len__(self):
+        return len(self._sizes)
+
+    def __getitem__(self, t):
+        end = int(self._ends[t])
+        return _Tree(*(getattr(self._nodes, k)[end - self._sizes[t]:end]
+                       for k in _Tree.__slots__))
+
+
 # (row, drawn feature) entries one level of a group of trees sorts at once,
 # and (tree, row) entries one predict step moves: bounds a level's memory,
 # and lets shallow trees share a level's overhead.
 _LEVEL_ENTRIES = 1 << 15
 
 
-def _node_table(trees):
-    """Every tree's nodes in one table of slots. Node i, numbered from the
-    table's start, owns slots 2 i and 2 i + 1, which both hold its feature,
-    threshold and value; slot 2 i leads left and 2 i + 1 right, and
-    child[s] is the first slot of the node that slot s leads to. A leaf
-    leads to itself both ways and reads feature 0, so a walk steps past it
-    unchanged. Also returns each tree's first slot and the most splits on
-    any root-to-leaf path, found over the split nodes alone (children
-    follow their parent, so this ends)."""
-    sizes = np.array([len(t.feature) for t in trees])
+def _node_table(sizes, nodes):
+    """The walk's form of a node table (nodes: a _Tree of trees of sizes
+    nodes each, end to end). Node i, numbered from the table's start, owns
+    slots 2 i and 2 i + 1, which both hold its feature, threshold and
+    value; slot 2 i leads left and 2 i + 1 right, and child[s] is the
+    first slot of the node that slot s leads to. A leaf leads to itself
+    both ways and reads feature 0, so a walk steps past it unchanged. Also
+    returns each tree's first slot and the most splits on any root-to-leaf
+    path, found over the split nodes alone (children follow their parent,
+    so this ends)."""
     roots = np.cumsum(sizes) - sizes
-    feature, threshold, value, left, right = (
-        np.concatenate([getattr(t, k) for t in trees])
-        for k in ("feature", "threshold", "value", "left", "right"))
+    feature = nodes.feature
     split = feature >= 0
-    child = np.where(split, np.stack([left, right]) + np.repeat(roots, sizes),
+    child = np.where(split, np.stack([nodes.left, nodes.right])
+                     + np.repeat(roots, sizes),
                      np.arange(len(feature))).T.ravel()
     depth, frontier = 0, roots[split[roots]]
     reached = np.zeros(len(feature), dtype=bool)
@@ -93,7 +117,7 @@ def _node_table(trees):
         frontier = np.flatnonzero(reached & split)
         depth += 1
     return (*(np.repeat(a, 2) for a in (np.where(split, feature, 0),
-                                        threshold, value)),
+                                        nodes.threshold, nodes.value)),
             2 * child, 2 * roots, depth)
 
 
@@ -192,6 +216,26 @@ class _BaseForest:
         self.bootstrap = bootstrap
         self.seed = seed
 
+    @property
+    def trees_(self):
+        """The trees, as read-only views of the model's node table.
+        Assigning a list of trees makes them the model's table."""
+        return _Trees(self._sizes, self._nodes)
+
+    @trees_.setter
+    def trees_(self, trees):
+        self._set_nodes(np.array([len(t.feature) for t in trees]), _Tree(
+            *(np.concatenate([getattr(t, k) for t in trees])
+              for k in _Tree.__slots__)))
+
+    def _set_nodes(self, sizes, nodes):
+        """Make nodes, a _Tree of trees of sizes nodes each end to end, the
+        model's node table. It is read-only from here on, so the walk's
+        form of it, built by the first predict, stays true to it."""
+        for k in _Tree.__slots__:
+            getattr(nodes, k).flags.writeable = False
+        self._sizes, self._nodes, self._walk = sizes, nodes, None
+
     def get_params(self):
         names = inspect.signature(type(self).__init__).parameters
         return {k: getattr(self, k) for k in names if k != "self"}
@@ -214,12 +258,14 @@ class _BaseForest:
         per_group = max(1, _LEVEL_ENTRIES // (n * mf))
         n_trees = int(self.n_trees)
         per_tree = np.zeros((n_trees, d))
-        self.trees_ = []
+        tables = []
         for first in range(0, n_trees, per_group):
             group = range(first, min(first + per_group, n_trees))
-            trees, per_tree[first:first + len(group)] = self._grow(
+            *table, per_tree[first:first + len(group)] = self._grow(
                 ranks, values, y, group, mf)
-            self.trees_ += trees
+            tables.append(table)
+        sizes, *fields = (np.concatenate(a) for a in zip(*tables))
+        self._set_nodes(sizes, _Tree(*fields))
         # the trees' normalised rows are summed once, in tree order, so no
         # bit of the sum depends on how many trees grew together
         totals = per_tree.sum(axis=1, keepdims=True)
@@ -231,7 +277,8 @@ class _BaseForest:
 
     def _grow(self, ranks, values, y, group, mf):
         """Grow the trees of group breadth-first, one level of all of them
-        at a time; returns them and their per-tree importances."""
+        at a time; returns their node counts, their node table's fields and
+        their per-tree importances."""
         n, d, g = len(y), len(ranks), len(group)
         min_leaf = int(self.min_samples_leaf)
         rngs = [np.random.default_rng([int(self.seed), t]) for t in group]
@@ -276,14 +323,17 @@ class _BaseForest:
             tree = np.repeat(tree[done], 2)
             depth += 1
         tree, *arrays = (np.concatenate(a) for a in zip(*levels))
-        trees = []
-        for t in range(g):
-            # breadth-first: split k's children are nodes 2k + 1 and 2k + 2
-            f, thr, v = (a[tree == t] for a in arrays)
-            left = np.where(f >= 0, 2 * np.cumsum(f >= 0) - 1, -1)
-            right = np.where(f >= 0, left + 1, -1)
-            trees.append(_Tree(f, thr, left, right, v))
-        return trees, importances
+        order = np.argsort(tree, kind="stable")
+        f, thr, v = (a[order] for a in arrays)
+        sizes = np.bincount(tree, minlength=g)
+        # breadth-first: the k-th split of a tree, counting from 0, has
+        # children 2k + 1 and 2k + 2
+        split = f >= 0
+        k = np.cumsum(split) - split
+        k -= np.repeat(k[np.cumsum(sizes) - sizes], sizes)
+        left = np.where(split, 2 * k + 1, -1)
+        right = np.where(split, 2 * k + 2, -1)
+        return sizes, f, thr, left, right, v, importances
 
     def _predict_matrix(self, X):
         """Each tree's leaf value for each row of X, as an (n_trees, n_rows)
@@ -293,8 +343,9 @@ class _BaseForest:
         if X.shape[1] != self.n_features_:
             raise DimensionMismatch(
                 f"model expects {self.n_features_} features, got {X.shape[1]}")
-        feature, threshold, value, child, first, depth = _node_table(
-            self.trees_)
+        if self._walk is None:
+            self._walk = _node_table(self._sizes, self._nodes)
+        feature, threshold, value, child, first, depth = self._walk
         n = len(X)
         out = np.empty((len(first), n))
         # equal blocks of rows, as few as keep a block's (tree, row) entries
@@ -391,8 +442,12 @@ def kfold_by_session(groups, k=5, seed=0):
     return folds
 
 
-def save_forest(model, path, feature_names):
-    """Serialize a fitted forest to a versioned, self-describing JSON file."""
+def save_forest(model, path, feature_names, provenance=None):
+    """Serialize a fitted forest to a versioned, self-describing JSON file:
+    each tree's node count under "trees", and the node table under
+    "nodes", one base64 little-endian array per field. provenance, a
+    JSON object saying what the model was trained on, is recorded when
+    given."""
     check_fitted(model)
     if len(feature_names) != model.n_features_:
         raise FeatureNameMismatch(
@@ -403,28 +458,52 @@ def save_forest(model, path, feature_names):
         "params": model.get_params(),
         "feature_names": list(feature_names),
         "feature_importances": model.feature_importances_.tolist(),
-        "trees": [t.to_dict() for t in model.trees_],
+        "trees": model._sizes.tolist(),
+        "nodes": {k: {"dtype": dtype, "data": base64.b64encode(
+            getattr(model._nodes, k).astype(dtype).tobytes()).decode()}
+            for k, dtype in _FILE_DTYPES.items()},
     }
     if model.task == "classification":
         doc["classes"] = model.classes_.tolist()
+    if provenance is not None:
+        doc["provenance"] = provenance
     _atomic_write_bytes(path, json.dumps(doc, sort_keys=True).encode())
 
 
-def _check_trees(trees, n_features, n_classes=None):
-    """ForestError unless there are trees, each tree's arrays have one
-    non-zero length, each split names a known feature and two nodes after
-    it, every threshold and value is finite and, for a classifier of
+def _decode(name, entry):
+    """One field of a model file's node table, as the array it encodes;
+    TypeError unless a threshold or value field holds floats (_Tree checks
+    that index fields hold integers), ValueError unless its bytes are a
+    whole number of items."""
+    dtype = np.dtype(entry["dtype"])
+    if _FILE_DTYPES[name][1] == "f" and dtype.kind != "f":
+        raise TypeError(f"{name} array of type {dtype}, not floats")
+    data = base64.b64decode(entry["data"], validate=True)
+    if len(data) % dtype.itemsize:
+        raise ValueError(f"{name} array of {len(data)} bytes is not a whole "
+                         f"number of {dtype.itemsize}-byte items")
+    return np.frombuffer(data, dtype)
+
+
+def _check_trees(sizes, nodes, n_features, n_classes=None):
+    """ForestError unless there are trees, each of at least one node; the
+    fields of nodes, the node table, have one length, which the tree sizes
+    sum to; each split names a known feature and two nodes after it in its
+    tree; every threshold and value is finite and, for a classifier of
     n_classes classes, every leaf value is a class index."""
-    if not trees:
+    if not len(sizes):
         raise ForestError("no trees")
-    sizes = [len(t.feature) for t in trees]
-    if not all(sizes) or any(len(getattr(t, k)) != n for t, n in
-                             zip(trees, sizes) for k in _Tree.__slots__):
+    n = len(nodes.feature)
+    if (sizes <= 0).any() or any(len(getattr(nodes, k)) != n
+                                 for k in _Tree.__slots__):
         raise ForestError("tree arrays are empty or differ in length")
+    if sizes.ndim != 1 or (sizes > n).any() or sizes.sum() != n:
+        raise ForestError(f"tree node counts do not sum to the {n} nodes of "
+                          f"the arrays")
     f, threshold, left, right, value = (
-        np.concatenate([getattr(t, k) for t in trees]) for k in _Tree.__slots__)
+        getattr(nodes, k) for k in _Tree.__slots__)
     end = np.repeat(sizes, sizes)
-    node = np.arange(len(f)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    node = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     lo, hi = np.minimum(left, right), np.maximum(left, right)
     if ((f < -1) | (f >= n_features)
             | (f >= 0) & ((lo <= node) | (hi >= end))).any():
@@ -442,26 +521,29 @@ def _check_trees(trees, n_features, n_classes=None):
 
 def load_forest(path, expected_feature_names=None):
     """Load a serialized forest; feature names must match when given."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ForestError(f"{path}: not a model (no JSON object)")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
+    version = doc.get("format_version")
+    if version != MODEL_FORMAT_VERSION:
         raise ForestError(
-            f"{path}: unsupported model format {doc.get('format_version')}")
+            f"{path}: unsupported model format {version}; this version "
+            f"reads format {MODEL_FORMAT_VERSION}, so train the model again")
     try:
         names = list(doc["feature_names"])
         cls = {"regression": RandomForestRegressor,
                "classification": RandomForestClassifier}[doc["task"]]
         model = cls(**doc["params"])
-        model.trees_ = [_Tree(**t) for t in doc["trees"]]
+        sizes = _indices(doc["trees"])
+        nodes = _Tree(*(_decode(k, doc["nodes"][k]) for k in _FILE_DTYPES))
         model.feature_importances_ = np.asarray(doc["feature_importances"],
                                                 dtype=np.float64)
         n_classes = None
         if cls is RandomForestClassifier:
             model.classes_ = np.asarray(doc["classes"])
             n_classes = len(model.classes_)
-        _check_trees(model.trees_, len(names), n_classes)
+        _check_trees(sizes, nodes, len(names), n_classes)
     except (KeyError, TypeError, ValueError, ForestError) as exc:
         raise ForestError(f"{path}: malformed model "
                           f"({type(exc).__name__}: {exc})") from exc
@@ -469,6 +551,7 @@ def load_forest(path, expected_feature_names=None):
             and list(expected_feature_names) != names):
         raise FeatureNameMismatch(
             f"model was trained on {names}, got {list(expected_feature_names)}")
+    model._set_nodes(sizes, nodes)
     model.n_features_ = len(names)
     model.feature_names_ = names
     return model

@@ -1,9 +1,12 @@
+import base64
 import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
+import vcaqoe
 from vcaqoe.cli import run
 
 
@@ -767,36 +770,66 @@ def resolution_model(tmp_path_factory, fps_model):
     return model
 
 
+def _encoded(a, dtype):
+    return {"dtype": dtype,
+            "data": base64.b64encode(a.astype(dtype).tobytes()).decode()}
+
+
 def _damaged(doc, damage):
     """A model document with one fault; its first tree splits at its root
     and ends in a leaf."""
-    tree = doc["trees"][0]
+    nodes = {k: np.frombuffer(base64.b64decode(e["data"]), e["dtype"]).copy()
+             for k, e in doc["nodes"].items()}
+    dtypes = {k: e["dtype"] for k, e in doc["nodes"].items()}
+    first = doc["trees"][0]     # the first tree's node count
     if damage == "no_feature_names":
         del doc["feature_names"]
     elif damage == "list":
         doc = [doc]
     elif damage == "ragged_tree":
-        tree["threshold"].append(0.5)
+        nodes["threshold"] = np.append(nodes["threshold"], 0.5)
     elif damage == "child_loop":
-        tree["left"][0] = 0
+        nodes["left"][0] = 0
     elif damage == "feature_out_of_range":
-        tree["feature"][0] = len(doc["feature_names"])
+        nodes["feature"][0] = len(doc["feature_names"])
     elif damage == "negative_feature":
-        tree["feature"] = [-5 if f >= 0 else f for f in tree["feature"]]
+        tree = nodes["feature"][:first]
+        tree[tree >= 0] = -5
     elif damage == "fractional_feature":
-        tree["feature"][0] = 1.5
+        # a feature of 1.5 is no value of an integer array: write the
+        # array as floats
+        dtypes["feature"] = "<f8"
+        nodes["feature"] = nodes["feature"].astype(float)
+        nodes["feature"][0] = 1.5
+    elif damage == "integer_threshold":
+        dtypes["threshold"] = "<i4"
     elif damage == "nan_threshold":
-        tree["threshold"][0] = float("nan")
+        nodes["threshold"][0] = float("nan")
     elif damage == "nan_value":
-        tree["value"][-1] = float("nan")
+        nodes["value"][first - 1] = float("nan")
     elif damage == "no_trees":
         doc["trees"] = []
     elif damage == "class_out_of_range":
-        tree["value"][-1] = 99.0
+        nodes["value"][first - 1] = 99.0
     elif damage == "fractional_class":
-        tree["value"][-1] = 0.5
-    else:   # no_classes
+        nodes["value"][first - 1] = 0.5
+    elif damage == "no_classes":
         doc["classes"] = []
+    elif damage == "node_counts_off":
+        doc["trees"][0] += 1
+    elif damage == "format_1":
+        # format 1: one object of per-node lists per tree
+        sizes = doc["trees"]
+        doc["trees"] = [{k: a[e - n:e].tolist() for k, a in nodes.items()}
+                        for n, e in zip(sizes, np.cumsum(sizes))]
+        doc["format_version"] = 1
+    if isinstance(doc, dict) and "nodes" in doc:
+        doc["nodes"] = {k: _encoded(a, dtypes[k]) for k, a in nodes.items()}
+    if damage == "partial_item":
+        doc["nodes"]["right"]["data"] = base64.b64encode(
+            base64.b64decode(doc["nodes"]["right"]["data"]) + b"\0").decode()
+    elif damage == "format_1":
+        del doc["nodes"]
     return doc
 
 
@@ -809,7 +842,12 @@ DAMAGE_SAID = {
     "fractional_feature": "not integers", "nan_threshold": "not finite",
     "nan_value": "not finite", "no_trees": "no trees",
     "class_out_of_range": "not a class index",
-    "fractional_class": "not a class index", "no_classes": "no classes"}
+    "fractional_class": "not a class index", "no_classes": "no classes",
+    "integer_threshold": "threshold array of type int32, not floats",
+    "node_counts_off": "node counts do not sum",
+    "partial_item": "not a whole number of 4-byte items",
+    "format_1": "unsupported model format 1; this version reads format 2, "
+                "so train the model again"}
 
 
 @pytest.mark.parametrize("damage", DAMAGE_SAID)
@@ -1141,3 +1179,14 @@ def test_sweep_impairment_axes(tmp_path, capsys, axis):
     # without -o, the same table goes to stdout
     assert run(argv) == 0
     assert capsys.readouterr().out == out.read_text()
+
+
+def test_train_records_provenance(fps_model):
+    feats, model = fps_model
+    with open(feats, "rb") as fh:
+        data = fh.read()
+    assert json.loads(model.read_text())["provenance"] == {
+        "features_csv": "features.csv",     # from the model's directory
+        "rows": data.count(b"\n") - 1,
+        "sha256": hashlib.sha256(data).hexdigest()[:16], "target": "fps",
+        "vcaqoe_version": vcaqoe.__version__}

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,32 @@ def test_save_load_classifier_labels(tmp_path):
     back = load_forest(str(path))
     assert np.array_equal(back.predict(X), m.predict(X))
     assert set(back.classes_) == {"high", "low"}
+
+
+@pytest.mark.parametrize("cls", [RandomForestRegressor,
+                                 RandomForestClassifier])
+def test_model_file_round_trip(monkeypatch, tmp_path, cls):
+    """save, load, save again writes the same bytes; the loaded model's
+    leaf values are the fitted model's to the bit, and it builds the walk's
+    node table once, not once per predict."""
+    X, y = make_linear(n=300, noise=0.2, seed=27)
+    if cls is RandomForestClassifier:
+        y = np.array(["low", "mid", "high"])[np.digitize(y, [-1.0, 1.0])]
+    names = [f"f{i}" for i in range(X.shape[1])]
+    m = cls(n_trees=7, seed=28).fit(X, y)
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    save_forest(m, str(first), names)
+    built, node_table = [], forest._node_table
+    monkeypatch.setattr(forest, "_node_table",
+                        lambda *a: built.append(a) or node_table(*a))
+    back = load_forest(str(first), expected_feature_names=names)
+    save_forest(back, str(again), names)
+    assert again.read_bytes() == first.read_bytes()
+    assert "provenance" not in json.loads(first.read_text())
+    got = back._predict_matrix(X)
+    assert got.tobytes() == m._predict_matrix(X).tobytes()
+    assert np.array_equal(back.predict(X), m.predict(X))
+    assert len(built) == 2     # once for back, once for m
 
 
 def test_load_rejects_wrong_feature_names(tmp_path):
