@@ -67,9 +67,6 @@ class _Tree:
         self.threshold, self.value = (
             np.asarray(a, dtype=np.float64) for a in (threshold, value))
 
-    def to_dict(self):
-        return {k: getattr(self, k).tolist() for k in self.__slots__}
-
 
 class _Trees(Sequence):
     """A node table's trees, each a _Tree of views made when it is read,
@@ -218,23 +215,15 @@ class _BaseForest:
 
     @property
     def trees_(self):
-        """The trees, as read-only views of the model's node table.
-        Assigning a list of trees makes them the model's table."""
+        """The trees, as views of the model's node table. Assigning a list
+        of trees makes them the model's table."""
         return _Trees(self._sizes, self._nodes)
 
     @trees_.setter
     def trees_(self, trees):
-        self._set_nodes(np.array([len(t.feature) for t in trees]), _Tree(
-            *(np.concatenate([getattr(t, k) for t in trees])
-              for k in _Tree.__slots__)))
-
-    def _set_nodes(self, sizes, nodes):
-        """Make nodes, a _Tree of trees of sizes nodes each end to end, the
-        model's node table. It is read-only from here on, so the walk's
-        form of it, built by the first predict, stays true to it."""
-        for k in _Tree.__slots__:
-            getattr(nodes, k).flags.writeable = False
-        self._sizes, self._nodes, self._walk = sizes, nodes, None
+        self._sizes = np.array([len(t.feature) for t in trees])
+        self._nodes = _Tree(*(np.concatenate([getattr(t, k) for t in trees])
+                              for k in _Tree.__slots__))
 
     def get_params(self):
         names = inspect.signature(type(self).__init__).parameters
@@ -264,8 +253,8 @@ class _BaseForest:
             *table, per_tree[first:first + len(group)] = self._grow(
                 ranks, values, y, group, mf)
             tables.append(table)
-        sizes, *fields = (np.concatenate(a) for a in zip(*tables))
-        self._set_nodes(sizes, _Tree(*fields))
+        self._sizes, *fields = (np.concatenate(a) for a in zip(*tables))
+        self._nodes = _Tree(*fields)
         # the trees' normalised rows are summed once, in tree order, so no
         # bit of the sum depends on how many trees grew together
         totals = per_tree.sum(axis=1, keepdims=True)
@@ -343,9 +332,8 @@ class _BaseForest:
         if X.shape[1] != self.n_features_:
             raise DimensionMismatch(
                 f"model expects {self.n_features_} features, got {X.shape[1]}")
-        if self._walk is None:
-            self._walk = _node_table(self._sizes, self._nodes)
-        feature, threshold, value, child, first, depth = self._walk
+        feature, threshold, value, child, first, depth = _node_table(
+            self._sizes, self._nodes)
         n = len(X)
         out = np.empty((len(first), n))
         # equal blocks of rows, as few as keep a block's (tree, row) entries
@@ -472,12 +460,13 @@ def save_forest(model, path, feature_names, provenance=None):
 
 def _decode(name, entry):
     """One field of a model file's node table, as the array it encodes;
-    TypeError unless a threshold or value field holds floats (_Tree checks
-    that index fields hold integers), ValueError unless its bytes are a
-    whole number of items."""
-    dtype = np.dtype(entry["dtype"])
-    if _FILE_DTYPES[name][1] == "f" and dtype.kind != "f":
-        raise TypeError(f"{name} array of type {dtype}, not floats")
+    TypeError unless it has the dtype save_forest writes for the field,
+    ValueError unless its bytes are a whole number of items."""
+    want = _FILE_DTYPES[name]
+    if entry["dtype"] != want:
+        kind = "floats" if want[1] == "f" else "integers"
+        raise TypeError(f"{name} array of type {entry['dtype']}, not {kind}")
+    dtype = np.dtype(want)
     data = base64.b64decode(entry["data"], validate=True)
     if len(data) % dtype.itemsize:
         raise ValueError(f"{name} array of {len(data)} bytes is not a whole "
@@ -551,7 +540,7 @@ def load_forest(path, expected_feature_names=None):
             and list(expected_feature_names) != names):
         raise FeatureNameMismatch(
             f"model was trained on {names}, got {list(expected_feature_names)}")
-    model._set_nodes(sizes, nodes)
+    model._sizes, model._nodes = sizes, nodes
     model.n_features_ = len(names)
     model.feature_names_ = names
     return model

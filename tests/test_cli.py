@@ -803,6 +803,9 @@ def _damaged(doc, damage):
         nodes["feature"][0] = 1.5
     elif damage == "integer_threshold":
         dtypes["threshold"] = "<i4"
+    elif damage == "zero_itemsize":
+        # a dtype of zero-byte items, which no item count divides
+        dtypes["feature"] = "S"
     elif damage == "nan_threshold":
         nodes["threshold"][0] = float("nan")
     elif damage == "nan_value":
@@ -843,7 +846,8 @@ DAMAGE_SAID = {
     "nan_value": "not finite", "no_trees": "no trees",
     "class_out_of_range": "not a class index",
     "fractional_class": "not a class index", "no_classes": "no classes",
-    "integer_threshold": "threshold array of type int32, not floats",
+    "integer_threshold": "threshold array of type <i4, not floats",
+    "zero_itemsize": "feature array of type S, not integers",
     "node_counts_off": "node counts do not sum",
     "partial_item": "not a whole number of 4-byte items",
     "format_1": "unsupported model format 1; this version reads format 2, "

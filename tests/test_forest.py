@@ -169,10 +169,9 @@ def test_save_load_classifier_labels(tmp_path):
 
 @pytest.mark.parametrize("cls", [RandomForestRegressor,
                                  RandomForestClassifier])
-def test_model_file_round_trip(monkeypatch, tmp_path, cls):
-    """save, load, save again writes the same bytes; the loaded model's
-    leaf values are the fitted model's to the bit, and it builds the walk's
-    node table once, not once per predict."""
+def test_model_file_round_trip(tmp_path, cls):
+    """save, load, save again writes the same bytes, and the loaded
+    model's leaf values are the fitted model's to the bit."""
     X, y = make_linear(n=300, noise=0.2, seed=27)
     if cls is RandomForestClassifier:
         y = np.array(["low", "mid", "high"])[np.digitize(y, [-1.0, 1.0])]
@@ -180,9 +179,6 @@ def test_model_file_round_trip(monkeypatch, tmp_path, cls):
     m = cls(n_trees=7, seed=28).fit(X, y)
     first, again = tmp_path / "first.json", tmp_path / "again.json"
     save_forest(m, str(first), names)
-    built, node_table = [], forest._node_table
-    monkeypatch.setattr(forest, "_node_table",
-                        lambda *a: built.append(a) or node_table(*a))
     back = load_forest(str(first), expected_feature_names=names)
     save_forest(back, str(again), names)
     assert again.read_bytes() == first.read_bytes()
@@ -190,7 +186,6 @@ def test_model_file_round_trip(monkeypatch, tmp_path, cls):
     got = back._predict_matrix(X)
     assert got.tobytes() == m._predict_matrix(X).tobytes()
     assert np.array_equal(back.predict(X), m.predict(X))
-    assert len(built) == 2     # once for back, once for m
 
 
 def test_load_rejects_wrong_feature_names(tmp_path):
@@ -205,6 +200,13 @@ def test_load_rejects_wrong_feature_names(tmp_path):
         save_forest(m, str(path), ["only", "two"])
 
 
+def _assert_same_nodes(a, b):
+    """a and b, fitted forests, hold the same trees node for node."""
+    assert np.array_equal(a._sizes, b._sizes)
+    for k in forest._FILE_DTYPES:
+        assert np.array_equal(getattr(a._nodes, k), getattr(b._nodes, k)), k
+
+
 @pytest.mark.parametrize("cls", [RandomForestRegressor,
                                  RandomForestClassifier])
 def test_trees_do_not_depend_on_how_many_grow_together(monkeypatch, cls):
@@ -214,8 +216,7 @@ def test_trees_do_not_depend_on_how_many_grow_together(monkeypatch, cls):
     together = cls(n_trees=6, seed=24).fit(X, y)
     monkeypatch.setattr(forest, "_LEVEL_ENTRIES", 1)
     alone = cls(n_trees=6, seed=24).fit(X, y)
-    assert [t.to_dict() for t in alone.trees_] == [
-        t.to_dict() for t in together.trees_]
+    _assert_same_nodes(alone, together)
     assert np.allclose(alone.feature_importances_,
                        together.feature_importances_, rtol=1e-9, atol=0)
 
@@ -230,8 +231,7 @@ def test_tied_rows_do_not_depend_on_how_many_trees_grow_together(
     together = RandomForestRegressor(n_trees=8, seed=1).fit(X, y)
     monkeypatch.setattr(forest, "_LEVEL_ENTRIES", 1)
     alone = RandomForestRegressor(n_trees=8, seed=1).fit(X, y)
-    assert [t.to_dict() for t in alone.trees_] == [
-        t.to_dict() for t in together.trees_]
+    _assert_same_nodes(alone, together)
 
 
 @pytest.mark.parametrize("cls", [RandomForestRegressor,
