@@ -7,15 +7,13 @@ input of the package is parsed by read_csv_rows.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import itertools
-import mmap
 import os
 import struct
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -40,6 +38,9 @@ TRUTH_CSV_HEADER = list(TRUTH_ROW_DTYPE.names)
 PCAP_MAGIC_US = 0xA1B2C3D4
 PCAP_MAGIC_NS = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
+# The bytes of a capture read_pcap reads into its buffer at a time. Below
+# 1 MiB the per-buffer numpy steps cost more than they save.
+_CHUNK_BYTES = 1 << 21
 
 
 class IngestError(ValueError):
@@ -89,41 +90,36 @@ def read_pcap(path, vca_label=""):
     """Read a classic pcap file into a Session of IPv4/UDP packets, named
     after the file.
 
-    Non-IPv4 and non-UDP packets, and IPv4 fragments other than the first,
-    are skipped and counted on the returned session as ``skipped_count``.
-    RTP parsing is attempted on every UDP payload and attached when it
-    succeeds.
+    Non-IPv4 and non-UDP packets, IPv4 fragments other than the first and
+    IPv4 headers shorter than 20 bytes are skipped and counted on the
+    returned session as ``skipped_count``. RTP parsing is attempted on
+    every UDP payload and attached when it succeeds.
 
-    The file is mapped read-only, not copied into memory: the walk over
-    the record headers, the only per-packet Python step, touches only the
-    pages it reads, and the header fields are gathered from the map as
-    numpy columns that own their memory. The map is closed before the
-    session is returned. A file that cannot be mapped, such as a FIFO
-    that tcpdump writes into, is read whole instead.
-
-    A mapped file is not a snapshot. If it is truncated while it is
-    decoded (tcpdump -w restarted on the same path, a copytruncate
-    rotation), touching a page past its new end raises SIGBUS, which ends
-    the process instead of raising an IngestError.
+    The capture is read in bounded pieces into one reusable buffer of
+    _CHUNK_BYTES: the whole records in the buffer are walked, their
+    header fields gathered as numpy columns, and a record cut by the
+    buffer's end is moved to its front before the next read. The buffer
+    doubles only when a single record does not fit in it, so it grows
+    with the bytes actually read, never to a declared record length. A
+    FIFO that tcpdump writes into is read the same way as a regular file.
+    A file that ends inside a record, also one truncated while it is
+    read, is a Truncated error. Memory holds the buffer plus the columns.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         try:
-            source = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError):   # a FIFO, or an empty file
-            source = contextlib.nullcontext(fh.read())
-    with source as data:
-        try:
-            return _decode_pcap(data, os.path.basename(path), vca_label)
+            return _decode_pcap(fh, os.path.basename(path), vca_label)
         except IngestError as exc:
             raise type(exc)(f"{path}: {exc}") from None
 
 
-def _decode_pcap(data, session_id, vca_label):
-    """The Session of read_pcap from a capture's bytes, in any buffer."""
-    if len(data) < 24:
+def _decode_pcap(fh, session_id, vca_label):
+    """The Session of read_pcap from an open binary capture file."""
+    buf = bytearray(_CHUNK_BYTES)
+    have = _fill(fh, buf, 0)
+    if have < 24:
         raise Truncated("pcap global header incomplete")
-    magic_le, = struct.unpack_from("<I", data, 0)
-    magic_be, = struct.unpack_from(">I", data, 0)
+    magic_le, = struct.unpack_from("<I", buf, 0)
+    magic_be, = struct.unpack_from(">I", buf, 0)
     if magic_le in (PCAP_MAGIC_US, PCAP_MAGIC_NS):
         endian, magic = "<", magic_le
     elif magic_be in (PCAP_MAGIC_US, PCAP_MAGIC_NS):
@@ -132,41 +128,90 @@ def _decode_pcap(data, session_id, vca_label):
         raise BadMagic(f"unknown pcap magic 0x{magic_le:08x}")
     nanos = magic == PCAP_MAGIC_NS
     _vmaj, _vmin, _tz, _sig, _snap, network = struct.unpack_from(
-        endian + "HHiIII", data, 4)
+        endian + "HHiIII", buf, 4)
     if network != LINKTYPE_ETHERNET:
         raise UnsupportedLinkType(f"link type {network} != Ethernet(1)")
 
-    starts = []     # offset of each record's captured bytes
-    append = starts.append
     incl_len = struct.Struct(endian + "I").unpack_from
-    end = len(data)
+    parts = []      # (PacketColumns, RecordFields) of each buffer's records
+    records = 0
     off = 24
-    while off + 16 <= end:
-        append(off + 16)
-        off += 16 + incl_len(data, off + 8)[0]
-    if off > end:
+    while True:
+        at_end = have < len(buf)
+        starts = []     # offset of each whole record's captured bytes
+        append = starts.append
+        while off + 16 <= have:
+            append(off + 16)
+            off += 16 + incl_len(buf, off + 8)[0]
+        if off > have:  # the last record runs past the bytes read
+            off = starts.pop() - 16
+        records += len(starts)
+        if starts:
+            rows = _record_rows(buf, np.array(starts, dtype=np.int64),
+                                endian, nanos)
+            if len(rows[0]):
+                parts.append(rows)
+        if at_end:
+            break
+        rest = have - off
+        if rest == len(buf):    # one record larger than the buffer
+            buf += bytes(len(buf))
+        buf[:rest] = buf[off:have]
+        have, off = _fill(fh, buf, rest), 0
+    if off + 16 <= have:
         raise Truncated("record shorter than declared length")
-    if off < end:
+    if off < have:
         raise Truncated("record header incomplete")
 
-    rec = np.array(starts, dtype=np.int64)
+    if not parts:
+        raise Empty("no IPv4/UDP packets in capture")
+    cols, fields = (_concat([part[i] for part in parts]) for i in (0, 1))
+    if (cols.arrival_us[1:] < cols.arrival_us[:-1]).any():
+        order = np.argsort(cols.arrival_us, kind="stable")
+        cols, fields = cols.take(order), fields.take(order)
+    sess = Session(session_id, vca_label, columns=cols, fields=fields)
+    sess.skipped_count = records - len(cols)
+    return sess
+
+
+def _fill(fh, buf, have):
+    """Read from fh into buf past its first have bytes until buf is full or
+    the file ends; the count of bytes buf then holds."""
+    with memoryview(buf) as view:
+        while have < len(buf):
+            n = fh.readinto(view[have:])
+            if not n:
+                break
+            have += n
+    return have
+
+
+def _concat(parts):
+    """The rows of a non-empty list of same-type _Rows, end to end."""
+    return type(parts[0])(*(np.concatenate([getattr(p, f.name)
+                                            for p in parts])
+                            for f in dataclass_fields(parts[0])))
+
+
+def _record_rows(data, rec, endian, nanos):
+    """(PacketColumns, RecordFields) of the IPv4/UDP packets among the pcap
+    records whose captured bytes start at offsets rec of data."""
     arrival_us = _gather(data, rec - 16, endian + "u4") * MICROS_PER_S
     frac = _gather(data, rec - 12, endian + "u4")
     arrival_us += frac // 1000 if nanos else frac
     caplen = _gather(data, rec - 8, endian + "u4")
 
-    # Ethernet/IPv4/UDP with the whole UDP header captured; a fragment
-    # with a non-zero offset carries no UDP header
+    # Ethernet/IPv4/UDP with the whole UDP header captured, after an IPv4
+    # header of at least 20 bytes; a fragment with a non-zero offset
+    # carries no UDP header
     ok = caplen >= 14 + 20 + 8
     rec, caplen, arrival_us = rec[ok], caplen[ok], arrival_us[ok]
     vihl = _gather(data, rec + 14, "u1")
     udp = rec + 14 + (vihl & 0x0F) * 4
     ok = ((_gather(data, rec + 12, ">u2") == 0x0800) & (vihl >> 4 == 4)
-          & (_gather(data, rec + 23, "u1") == 17)
+          & (vihl & 0x0F >= 5) & (_gather(data, rec + 23, "u1") == 17)
           & (_gather(data, rec + 20, ">u2") & 0x1FFF == 0)
           & (udp + 8 <= rec + caplen))
-    if not ok.any():
-        raise Empty("no IPv4/UDP packets in capture")
     rec, caplen, arrival_us, udp = rec[ok], caplen[ok], arrival_us[ok], udp[ok]
     payload = udp + 8
     payload_len = np.maximum(0, _gather(data, udp + 4, ">u2") - 8)
@@ -181,16 +226,10 @@ def _decode_pcap(data, session_id, vca_label):
                             & (rtp["b0"] & 0x0F > 0)).tolist():
         csrcs[i] = struct.unpack_from(f">{rtp['b0'][i] & 0x0F}I", data,
                                       payload[i] + RTP_FIXED_HEADER_LEN)
-    fields = RecordFields(
+    return cols, RecordFields(
         _gather(data, rec + 26, ">u4"), _gather(data, rec + 30, ">u4"),
         _gather(data, udp, ">u2"), _gather(data, udp + 2, ">u2"),
         rtp["ssrc"], rtp["b0"], rtp["header_len"], csrcs)
-    if (arrival_us[1:] < arrival_us[:-1]).any():
-        order = np.argsort(arrival_us, kind="stable")
-        cols, fields = cols.take(order), fields.take(order)
-    sess = Session(session_id, vca_label, columns=cols, fields=fields)
-    sess.skipped_count = len(starts) - len(cols)
-    return sess
 
 
 def _gather(data, offsets, dtype):

@@ -3,7 +3,8 @@
 Each is the one-value form of a rule the package applies to whole columns:
 the RTP header rule of ingest._rtp_columns and write_pcap, the payload-type
 rule of PayloadTypeMap.classify, and the fragmentation rule of
-synth._fragments.
+synth._fragments; and a pcap writer, built with struct alone, for the
+captures the pcap reader is tested on.
 """
 
 import math
@@ -85,3 +86,35 @@ def fragment_sizes(size, max_payload):
     n = max(1, math.ceil(size / max_payload))
     base, rem = divmod(size, n)
     return [base + 1 if j < rem else base for j in range(n)]
+
+
+# --- a pcap writer independent of the package's own ----------------------
+
+def ref_udp_frame(src_ip, dst_ip, sport, dport, payload, flags_frag=0,
+                  macs=b"\xaa" * 12, ip_options=b""):
+    eth = macs + struct.pack(">H", 0x0800)
+    udp = struct.pack(">HHHH", sport, dport, 8 + len(payload), 0) + payload
+    ihl = 5 + len(ip_options) // 4
+    ip = (struct.pack(">BBHHHBBH", 0x40 | ihl, 0,
+                      4 * ihl + len(udp), 0, flags_frag, 64, 17, 0)
+          + bytes(int(x) for x in src_ip.split("."))
+          + bytes(int(x) for x in dst_ip.split(".")) + ip_options)
+    return eth + ip + udp
+
+
+def ref_tcp_frame():
+    eth = b"\xaa" * 12 + struct.pack(">H", 0x0800)
+    ip = (struct.pack(">BBHHHBBH", 0x45, 0, 40, 0, 0, 64, 6, 0)
+          + b"\x0a\x00\x00\x01" + b"\x0a\x00\x00\x02")
+    return eth + ip + b"\x00" * 20
+
+
+def ref_pcap_bytes(frames, magic=0xA1B2C3D4, endian="<"):
+    """A capture of (ts_sec, ts_frac, frame) records, the fraction in the
+    unit the magic names."""
+    blob = struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+    for ts_sec, ts_frac, frame in frames:
+        blob += struct.pack(endian + "IIII", ts_sec, ts_frac, len(frame),
+                            len(frame))
+        blob += frame
+    return blob

@@ -1,50 +1,25 @@
 import os
 import struct
+import subprocess
+import sys
 import threading
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from vcaqoe import ingest
 from vcaqoe.ingest import (BadHeader, BadMagic, BadRow, DuplicateSecond,
                            IngestError, Truncated, read_ground_truth_csv,
                            read_packet_csv, read_pcap, write_ground_truth_csv,
                            write_packet_csv, write_pcap)
-from vcaqoe.session import (NO_HEIGHT, PacketRecord, RtpHeader, Session,
-                            WindowTable)
+from vcaqoe.session import (NO_CLASS, NO_HEIGHT, NO_RTP, PacketColumns,
+                            PacketRecord, RecordFields, RtpHeader, Session,
+                            WindowTable, ipv4)
 from vcaqoe.synth import SenderProfile, generate
 
-
-# --- reference pcap writer, independent of the package's own -------------
-
-def ref_udp_frame(src_ip, dst_ip, sport, dport, payload, flags_frag=0,
-                  macs=b"\xaa" * 12, ip_options=b""):
-    eth = macs + struct.pack(">H", 0x0800)
-    udp = struct.pack(">HHHH", sport, dport, 8 + len(payload), 0) + payload
-    ihl = 5 + len(ip_options) // 4
-    ip = (struct.pack(">BBHHHBBH", 0x40 | ihl, 0,
-                      4 * ihl + len(udp), 0, flags_frag, 64, 17, 0)
-          + bytes(int(x) for x in src_ip.split("."))
-          + bytes(int(x) for x in dst_ip.split(".")) + ip_options)
-    return eth + ip + udp
-
-
-def ref_tcp_frame():
-    eth = b"\xaa" * 12 + struct.pack(">H", 0x0800)
-    ip = (struct.pack(">BBHHHBBH", 0x45, 0, 40, 0, 0, 64, 6, 0)
-          + b"\x0a\x00\x00\x01" + b"\x0a\x00\x00\x02")
-    return eth + ip + b"\x00" * 20
-
-
-def ref_pcap_bytes(frames, magic=0xA1B2C3D4, endian="<"):
-    """A capture of (ts_sec, ts_frac, frame) records, the fraction in the
-    unit the magic names."""
-    blob = struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
-    for ts_sec, ts_frac, frame in frames:
-        blob += struct.pack(endian + "IIII", ts_sec, ts_frac, len(frame),
-                            len(frame))
-        blob += frame
-    return blob
+from reference import ref_pcap_bytes, ref_tcp_frame, ref_udp_frame
 
 
 def write_ref_pcap(path, frames, magic=0xA1B2C3D4, endian="<"):
@@ -215,10 +190,10 @@ def test_read_pcap_skips_snap_truncated_last_record(tmp_path):
     assert s.skipped_count == 1
 
 
-def test_read_pcap_reads_a_fifo(tmp_path):
+def _read_through_fifo(tmp_path, blob):
+    """read_pcap of a FIFO that a thread writes blob into."""
     p = tmp_path / "cap.pcap"
     os.mkfifo(p)
-    blob = ref_pcap_bytes(_three_frames())
 
     def feed():
         with open(p, "wb") as fh:
@@ -226,9 +201,15 @@ def test_read_pcap_reads_a_fifo(tmp_path):
 
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
-    s = read_pcap(str(p))
-    writer.join(timeout=10)
-    assert not writer.is_alive()
+    try:
+        return read_pcap(str(p))
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def test_read_pcap_reads_a_fifo(tmp_path):
+    s = _read_through_fifo(tmp_path, ref_pcap_bytes(_three_frames()))
     assert s.columns.payload_len.tolist() == [50, 51, 52]
     assert s.session_id == "cap.pcap"
 
@@ -247,6 +228,93 @@ def test_read_pcap_returns_arrays_that_own_their_memory(tmp_path,
             while base is not None:
                 assert isinstance(base, np.ndarray), f.name
                 base = base.base
+
+
+def test_read_pcap_skips_a_short_ipv4_header(tmp_path):
+    # an IHL below 5 words would put the "UDP header" on the IPv4 addresses
+    p = tmp_path / "t.pcap"
+    short = bytearray(ref_udp_frame("1.1.1.1", "2.2.2.2", 3, 4, b"y" * 30))
+    short[14] = 0x42
+    write_ref_pcap(p, [
+        (1, 0, ref_udp_frame("1.1.1.1", "2.2.2.2", 1, 2, b"x" * 30)),
+        (1, 5, bytes(short))])
+    s = read_pcap(str(p))
+    assert s.fields.src_port.tolist() == [1]
+    assert s.columns.payload_len.tolist() == [30]
+    assert s.skipped_count == 1
+
+
+@pytest.mark.parametrize("cut,said", [
+    (0, "pcap global header incomplete"),
+    (23, "pcap global header incomplete"),
+    (24 + 10, "record header incomplete"),
+    (-5, "record shorter than declared length")])
+def test_read_pcap_fifo_cut_short_is_truncated(tmp_path, cut, said):
+    blob = ref_pcap_bytes(_three_frames())
+    with pytest.raises(Truncated) as exc:
+        _read_through_fifo(tmp_path, blob[:cut])
+    assert str(exc.value) == f"{tmp_path / 'cap.pcap'}: {said}"
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, None], ids=["small", "default"])
+def test_read_pcap_huge_declared_length_is_truncated(tmp_path, monkeypatch,
+                                                     chunk_bytes):
+    # the buffer grows with the bytes read, never to a declared length
+    if chunk_bytes is not None:
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
+    p = tmp_path / "t.pcap"
+    frame = ref_udp_frame("1.1.1.1", "2.2.2.2", 1, 2, b"x" * 30)
+    p.write_bytes(ref_pcap_bytes([])
+                  + struct.pack("<IIII", 1, 0, 0xFFFFFFF0, 0xFFFFFFF0) + frame)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Truncated) as exc:
+            read_pcap(str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{p}: record shorter than declared length"
+    assert peak < 2 * ingest._CHUNK_BYTES + (1 << 20)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident size from /proc")
+def test_read_pcap_memory_is_bounded_by_its_buffer(tmp_path):
+    # about 40 MB of 1,200-byte payloads: the capture must not become part
+    # of the reading process's resident memory
+    n = 32_000
+    arrival_us = 10**9 + 1_000 * np.arange(n)
+    none = np.full(n, NO_RTP)
+    cols = PacketColumns(arrival_us, np.full(n, 1_200), none, none, none,
+                         none, np.full(n, NO_CLASS))
+    fields_ = RecordFields(np.full(n, ipv4("10.0.0.1")),
+                           np.full(n, ipv4("10.0.0.2")), np.full(n, 4000),
+                           np.full(n, 5000), none, none, none,
+                           np.empty(n, object))
+    p = tmp_path / "big.pcap"
+    write_pcap(Session("big", "", columns=cols, fields=fields_), str(p))
+    size = p.stat().st_size
+    assert size > 40_000_000
+    # the peak resident size of the reading process itself: ru_maxrss
+    # would count this process's size at the fork, which exec keeps
+    script = (
+        "import sys\n"
+        "from vcaqoe.ingest import read_pcap\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) * 1024 for line in fh\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        "before = peak()\n"
+        "n = len(read_pcap(sys.argv[1]))\n"
+        "print(n, peak() - before)\n")
+    src = os.path.dirname(os.path.dirname(ingest.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script, str(p)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    packets, grown = map(int, out.split())
+    assert packets == n
+    assert grown < size / 2
 
 
 def test_write_pcap_keeps_csrcs_and_padding(tmp_path):

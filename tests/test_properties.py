@@ -5,6 +5,7 @@ import os
 import struct
 import tempfile
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vcaqoe import forest
+from vcaqoe import forest, ingest
 from vcaqoe.assembly import (AssemblyDiagnostics, IpUdpAssemblyParams,
                              MissingRtp, assemble_ipudp, assemble_rtp,
                              diagnose, lookback_labels)
@@ -24,9 +25,9 @@ from vcaqoe.features import (RTP_FEATURE_NAMES, SemanticParams,
 from vcaqoe.forest import (RandomForestClassifier, RandomForestRegressor,
                            _best_splits, _column_ranks, _Tree)
 from vcaqoe.heuristics import segment_stats, session_windows, window_series
-from vcaqoe.ingest import (read_ground_truth_csv, read_packet_csv, read_pcap,
-                           write_ground_truth_csv, write_packet_csv,
-                           write_pcap)
+from vcaqoe.ingest import (IngestError, read_ground_truth_csv,
+                           read_packet_csv, read_pcap, write_ground_truth_csv,
+                           write_packet_csv, write_pcap)
 from vcaqoe.pipeline import analyze_session, paired_metric
 from vcaqoe.session import (MEDIA_CODE, NO_CLASS, NO_HEIGHT, NO_RTP,
                             RTP_FIXED_HEADER_LEN, RTP_VIDEO_CLOCK_HZ,
@@ -39,6 +40,7 @@ from vcaqoe.synth import (AUDIO_SSRC, DST, INTRA_FRAME_GAP_US,
                           generate, impair, truth_from_frame_log)
 
 from reference import (RtpError, fragment_sizes, lookup, parse_rtp_header,
+                       ref_pcap_bytes, ref_tcp_frame, ref_udp_frame,
                        serialize_rtp_header)
 
 
@@ -467,6 +469,57 @@ def test_read_pcap_rtp_rule_matches_parse_rtp_header(
                         ext_words_present, tail, padding)[:cut]
     got, captured = read_one_payload(payload, snap)
     assert got == parsed_or_none(captured)
+
+# --- read_pcap's result does not depend on its buffer size ----------------
+
+@st.composite
+def capture_records(draw):
+    """(ts_sec, ts_frac, frame) records of every kind read_pcap reads or
+    skips: UDP and RTP (with CSRCs) behind IPv4 options, TCP, later
+    fragments and snap-truncated frames."""
+    kind = draw(st.sampled_from(["udp", "rtp", "tcp", "fragment", "snap"]))
+    if kind == "tcp":
+        frame = ref_tcp_frame()
+    else:
+        payload = (rtp_bytes(csrc_count=draw(st.integers(0, 15)),
+                             tail=draw(st.integers(0, 300)))
+                   if kind == "rtp" else bytes(draw(st.integers(0, 300))))
+        frame = ref_udp_frame(
+            "10.0.0.1", "10.0.0.2", draw(st.integers(0, 0xFFFF)), 5000,
+            payload, ip_options=bytes(4 * draw(st.integers(0, 10))),
+            flags_frag=0x2000 | draw(st.integers(1, 0x1FFF))
+            if kind == "fragment" else 0)
+        if kind == "snap":
+            frame = frame[:draw(st.integers(0, len(frame) - 1))]
+    return draw(st.integers(0, 3)), draw(st.integers(0, 999_999)), frame
+
+
+def read_outcome(path):
+    """read_pcap's session as comparable values, or its error."""
+    try:
+        s = read_pcap(path)
+    except IngestError as exc:
+        return type(exc), str(exc)
+    return s.skipped_count, [
+        (f.name, getattr(rows, f.name).dtype, getattr(rows, f.name).tolist())
+        for rows in (s.columns, s.fields) for f in fields(rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=st.lists(capture_records(), max_size=30),
+       magic=st.sampled_from([0xA1B2C3D4, 0xA1B23C4D]),
+       endian=st.sampled_from("<>"),
+       sizes=st.lists(st.integers(24, 2_000), min_size=1, max_size=4))
+def test_read_pcap_is_the_same_for_every_buffer_size(records, magic, endian,
+                                                     sizes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.pcap")
+        with open(path, "wb") as fh:
+            fh.write(ref_pcap_bytes(records, magic, endian))
+        expected = read_outcome(path)
+        for size in sizes:
+            with mock.patch.object(ingest, "_CHUNK_BYTES", size):
+                assert read_outcome(path) == expected, size
 
 
 # --- the columnar RTP writer of write_pcap against serialize_rtp_header ----
