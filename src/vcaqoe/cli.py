@@ -25,11 +25,11 @@ from .features import IPUDP_FEATURE_NAMES, RTP_FEATURE_NAMES, SemanticParams, \
 from .forest import (ForestError, RandomForestClassifier,
                      RandomForestRegressor, load_forest, save_forest)
 from .heuristics import session_windows, whole_seconds
-from .ingest import (TRUTH_CSV_HEADER, BadHeader, BadRow, DuplicateSecond,
-                     IngestError, _atomic_write_bytes, _atomic_write_csv,
+from .ingest import (TRUTH_CELLS, TRUTH_CSV_HEADER, BadHeader, BadRow,
+                     DuplicateSecond, IngestError, _atomic_write_bytes,
                      csv_row, read_csv_header, read_csv_rows,
                      read_ground_truth_csv, read_packet_csv, read_pcap,
-                     truth_cells, write_ground_truth_csv, write_packet_csv)
+                     write_csv, write_ground_truth_csv, write_packet_csv)
 from .pipeline import analyze_session
 from .session import NO_HEIGHT, NO_RTP
 from .synth import (ImpairmentProfile, SenderProfile, generate, impair,
@@ -148,8 +148,12 @@ def _session_truth_pairs(inputs, truth_path):
     """Expand inputs (files or corpus dirs) into (packets, truth) paths.
 
     A directory contributes its <stem>.packets.csv and <stem>.pcap files,
-    each with <stem>.truth.csv when that exists.
+    each with <stem>.truth.csv when that exists. truth_path belongs to a
+    single file input; with a directory or several inputs it is an error.
     """
+    if truth_path and (len(inputs) > 1 or os.path.isdir(inputs[0])):
+        raise ValueError("--truth needs a single packet CSV or pcap input, "
+                         "not a directory or several inputs")
     pairs = []
     for item in inputs:
         if os.path.isdir(item):
@@ -168,8 +172,7 @@ def cmd_features(args):
     names = (IPUDP_FEATURE_NAMES if args.set == "ipudp"
              else RTP_FEATURE_NAMES)
     params = SemanticParams(theta_iat_ms=args.theta_iat)
-    header = ["session_id", "window_start"] + names + TRUTH_CSV_HEADER[1:]
-    rows = []
+    session_ids, parts = [], []
     for pk_path, truth_path in _session_truth_pairs(args.inputs, args.truth):
         session = _read_session(pk_path, rtp=args.set == "rtp")
         if args.set == "ipudp":
@@ -179,16 +182,22 @@ def cmd_features(args):
         keys, X = session_feature_rows(tagged, args.set, args.window, params)
         keep = np.isin(keys, session_windows(session, args.window))
         keys = np.array(keys, dtype=np.int64)[keep]
-        cells = ["nan,nan,nan,-1"] * len(keys)   # a window with no truth row
+        # a window with no truth row keeps nan metrics and NO_HEIGHT
+        truth = [np.full(len(keys), v)
+                 for v in (np.nan, np.nan, np.nan, NO_HEIGHT)]
         if truth_path:
-            truth = read_ground_truth_csv(truth_path).rows
-            _, i, j = np.intersect1d(keys, truth.window_start,
+            table = read_ground_truth_csv(truth_path).rows
+            _, i, j = np.intersect1d(keys, table.window_start,
                                      assume_unique=True, return_indices=True)
-            for at, c in zip(i.tolist(), truth_cells(truth.take(j))):
-                cells[at] = c
-        rows += [[session.session_id, k] + [f"{v:.9g}" for v in vec] + [c]
-                 for k, vec, c in zip(keys.tolist(), X[keep].tolist(), cells)]
-    _atomic_write_csv(args.output, header, rows)
+            for column, name in zip(truth, TRUTH_CSV_HEADER[1:]):
+                column[i] = getattr(table, name)[j]
+        session_ids += [session.session_id] * len(keys)
+        parts.append([keys, *X[keep].T, *truth])
+    columns = [np.concatenate(c).tolist() for c in zip(*parts)]
+    write_csv(args.output,
+              ["session_id", "window_start"] + names + TRUTH_CSV_HEADER[1:],
+              ",".join(["{},{}"] + ["{:.9g}"] * len(names) + [TRUTH_CELLS]),
+              [session_ids, *columns])
     return 0
 
 
@@ -256,11 +265,10 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    _sessions, windows, names, X, _truth = _read_feature_csv(args.data)
+    sessions, windows, names, X, _truth = _read_feature_csv(args.data)
     model = load_forest(args.model, names)
-    preds = model.predict(X)
-    rows = [[s, w, p] for s, w, p in zip(_sessions, windows, preds.tolist())]
-    _atomic_write_csv(args.output, PREDICTION_HEADER, rows)
+    write_csv(args.output, PREDICTION_HEADER, "{},{},{}",
+              [sessions, windows, model.predict(X).tolist()])
     return 0
 
 

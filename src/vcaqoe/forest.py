@@ -14,7 +14,6 @@ import base64
 import inspect
 import json
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -66,22 +65,6 @@ class _Tree:
                                                   (feature, left, right))
         self.threshold, self.value = (
             np.asarray(a, dtype=np.float64) for a in (threshold, value))
-
-
-class _Trees(Sequence):
-    """A node table's trees, each a _Tree of views made when it is read,
-    so that holding them costs nothing per tree."""
-
-    def __init__(self, sizes, nodes):
-        self._sizes, self._ends, self._nodes = sizes, np.cumsum(sizes), nodes
-
-    def __len__(self):
-        return len(self._sizes)
-
-    def __getitem__(self, t):
-        end = int(self._ends[t])
-        return _Tree(*(getattr(self._nodes, k)[end - self._sizes[t]:end]
-                       for k in _Tree.__slots__))
 
 
 # (row, drawn feature) entries one level of a group of trees sorts at once,
@@ -215,9 +198,12 @@ class _BaseForest:
 
     @property
     def trees_(self):
-        """The trees, as views of the model's node table. Assigning a list
-        of trees makes them the model's table."""
-        return _Trees(self._sizes, self._nodes)
+        """The trees, as a list of _Tree views of the model's node table.
+        Assigning a list of trees makes them the model's table."""
+        bounds = np.cumsum(self._sizes)[:-1]
+        return [_Tree(*fields) for fields in zip(*(
+            np.split(getattr(self._nodes, k), bounds)
+            for k in _Tree.__slots__))]
 
     @trees_.setter
     def trees_(self, trees):

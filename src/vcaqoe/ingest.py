@@ -2,7 +2,8 @@
 
 Supported inputs: classic pcap (Ethernet link type, IPv4/UDP only), the
 packet CSV schema, and the per-second ground-truth CSV schema. Every CSV
-input of the package is parsed by read_csv_rows.
+input of the package is parsed by read_csv_rows, and every CSV output is
+written from columns by write_csv.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ TRUTH_ROW_DTYPE = np.dtype([
     ("frame_jitter_ms", np.float64), ("frame_height", np.int64)])
 PACKET_CSV_HEADER = list(PACKET_ROW_DTYPE.names)
 TRUTH_CSV_HEADER = list(TRUTH_ROW_DTYPE.names)
+# The format of a truth row's four metric cells; nan prints as nan.
+TRUTH_CELLS = "{:.6f},{:.6f},{:.6f},{}"
 
 PCAP_MAGIC_US = 0xA1B2C3D4
 PCAP_MAGIC_NS = 0xA1B23C4D
@@ -503,19 +506,14 @@ def csv_row(path, i):
 
 def write_packet_csv(session, path):
     """Write a Session in the packet CSV schema, RTP columns -1 where a
-    packet has no RTP header.
-
-    Each line is formatted from the session's column lists by one format
-    call, with no per-row tuple or join.
-    """
+    packet has no RTP header."""
     cols, f = session.columns, session.fields
-    line = ",".join(["{}"] * len(PACKET_CSV_HEADER)).format
-    _atomic_write_lines(path, PACKET_CSV_HEADER, map(
-        line, cols.arrival_us.tolist(), _addresses(f.src_ip),
-        _addresses(f.dst_ip), f.src_port.tolist(), f.dst_port.tolist(),
-        cols.payload_len.tolist(), cols.rtp_pt.tolist(),
-        cols.rtp_seq.tolist(), cols.rtp_ts.tolist(),
-        cols.rtp_marker.tolist(), f.rtp_ssrc.tolist()))
+    line = ",".join(["{}"] * len(PACKET_CSV_HEADER))
+    write_csv(path, PACKET_CSV_HEADER, line, [
+        cols.arrival_us.tolist(), _addresses(f.src_ip), _addresses(f.dst_ip),
+        f.src_port.tolist(), f.dst_port.tolist(), cols.payload_len.tolist(),
+        cols.rtp_pt.tolist(), cols.rtp_seq.tolist(), cols.rtp_ts.tolist(),
+        cols.rtp_marker.tolist(), f.rtp_ssrc.tolist()])
 
 
 def read_ground_truth_csv(path):
@@ -532,19 +530,20 @@ def read_ground_truth_csv(path):
         rows["frame_jitter_ms"], np.maximum(rows["frame_height"], NO_HEIGHT)))
 
 
-def truth_cells(table):
-    """Each row's metric cells in the ground-truth CSV schema, as one
-    comma-joined string per row; nan prints as nan."""
-    return list(map("{:.6f},{:.6f},{:.6f},{}".format, table.fps.tolist(),
-                    table.bitrate_kbps.tolist(),
-                    table.frame_jitter_ms.tolist(),
-                    table.frame_height.tolist()))
-
-
 def write_ground_truth_csv(table, path):
     """Write a WindowTable in the ground-truth CSV schema."""
-    _atomic_write_lines(path, TRUTH_CSV_HEADER, map(
-        "{},{}".format, table.window_start.tolist(), truth_cells(table)))
+    write_csv(path, TRUTH_CSV_HEADER, "{}," + TRUTH_CELLS, [
+        getattr(table, name).tolist()
+        for name in ["window_start", *TRUTH_CSV_HEADER[1:]]])
+
+
+def write_csv(path, header, line, columns):
+    """Write a CSV file atomically: its header, then one line per row,
+    line.format of the row's cells taken from columns, a list of
+    equal-length lists."""
+    _atomic_write_bytes(path, "".join(
+        [",".join(header) + "\n", *map((line + "\n").format, *columns)]
+    ).encode())
 
 
 def _atomic_write_bytes(path, blob):
@@ -558,14 +557,3 @@ def _atomic_write_bytes(path, blob):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _atomic_write_csv(path, header, rows):
-    _atomic_write_lines(path, header, (",".join(map(str, row))
-                                       for row in rows))
-
-
-def _atomic_write_lines(path, header, lines):
-    """Write a CSV header and the already formatted lines below it."""
-    _atomic_write_bytes(path, ("\n".join([",".join(header), *lines])
-                               + "\n").encode())

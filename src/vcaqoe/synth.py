@@ -24,7 +24,7 @@ import numpy as np
 
 from .classify import PayloadTypeMap
 from .heuristics import whole_seconds, window_series
-from .ingest import GroundTruthSeries, _atomic_write_csv, read_csv_rows
+from .ingest import GroundTruthSeries, read_csv_rows, write_csv
 from .session import (MEDIA_CODE, MICROS_PER_S, NO_CLASS, RTP_FIXED_HEADER_LEN,
                       RTP_VIDEO_CLOCK_HZ, MediaClass, PacketColumns,
                       RecordFields, Session)
@@ -313,9 +313,9 @@ def impair(session, profile: ImpairmentProfile, seed, ptmap=None):
 
 
 def write_frame_log_csv(frame_log, path):
-    rows = [[f.frame_id, f.emit_us, f.complete_us, f.media_bytes, f.rtp_ts]
-            for f in frame_log]
-    _atomic_write_csv(path, FRAME_LOG_HEADER, rows)
+    write_csv(path, FRAME_LOG_HEADER, ",".join(["{}"] * len(FRAME_LOG_HEADER)),
+              [[getattr(f, name) for f in frame_log]
+               for name in FRAME_LOG_HEADER])
 
 
 def read_frame_log_csv(path):

@@ -38,6 +38,6 @@ def check_X_y(X, y):
 
 
 def check_fitted(estimator):
-    if not hasattr(estimator, "trees_"):
+    if not hasattr(estimator, "_nodes"):
         raise NotFitted(
             f"{type(estimator).__name__} is not fitted; call fit() first")

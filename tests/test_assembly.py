@@ -169,6 +169,12 @@ def test_params_require_an_integral_lookback():
             IpUdpAssemblyParams(n_max=n_max)
 
 
+@pytest.mark.parametrize("kwargs", [{"delta_size_max": -1}, {"n_max": 0}])
+def test_params_reject_a_negative_delta_or_no_lookback(kwargs):
+    with pytest.raises(ValueError, match="delta_size_max >= 0 and n_max >= 1"):
+        IpUdpAssemblyParams(**kwargs)
+
+
 def test_lookback_sweep_rejects_a_fractional_lookback():
     with pytest.raises(ValueError, match="n_max"):
         lookback_sweep([2.5, 2], n_sessions=1, duration_s=4.0)

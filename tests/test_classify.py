@@ -40,6 +40,11 @@ def test_size_threshold_monotone():
             assert a.media_class is MediaClass.VIDEO
 
 
+def test_size_threshold_must_be_positive():
+    with pytest.raises(ValueError, match="v_min must be positive"):
+        SizeThreshold(0)
+
+
 def test_payload_type_examples():
     s = classify_by_payload_type(sess(
         pkt(0, 120, pt=111), pkt(1, 304, pt=103), pkt(2, 900, pt=42),

@@ -346,6 +346,63 @@ def test_features_expands_pcaps_in_a_directory(tmp_path):
     assert all(r[-4] != "nan" for r in rows)     # fps from call.truth.csv
 
 
+@pytest.mark.parametrize("inputs", ["directory", "two_files"])
+def test_features_truth_needs_one_file_input(tmp_path, corpus, capsys,
+                                             inputs):
+    packets = ([str(corpus)] if inputs == "directory" else
+               [str(corpus / f"synth-{seed}.packets.csv")
+                for seed in (100, 101)])
+    out = tmp_path / "features.csv"
+    assert run(["features", *packets, "--truth",
+                str(corpus / "synth-100.truth.csv"), "-o", str(out)]) == 1
+    assert "--truth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_packet_csv_and_pcap_of_one_call_agree(tmp_path):
+    """One impaired call read as its packet CSV and as a pcap written from
+    it gives the same analyze bytes and the same feature rows, but for the
+    session_id cell, which names the file."""
+    from vcaqoe.ingest import read_packet_csv, write_pcap
+    assert run(["synth", "--duration", "8", "--jitter", "20", "--loss",
+                "2", "--retransmit", "--seed", "9", "-o", str(tmp_path)]) == 0
+    csv_path = str(tmp_path / "synth-9.packets.csv")
+    pcap_path = str(tmp_path / "synth-9.pcap")
+    write_pcap(read_packet_csv(csv_path), pcap_path)
+    truth = str(tmp_path / "synth-9.truth.csv")
+
+    def output(*argv):
+        out = tmp_path / "out.csv"
+        assert run([*argv, "-o", str(out)]) == 0
+        return out.read_text().splitlines()
+
+    for window in ("1", "2"):
+        for method in ("ipudp", "rtp"):
+            analyzed = [output("analyze", path, "--method", method,
+                               "--window", window)
+                        for path in (csv_path, pcap_path)]
+            assert analyzed[0] == analyzed[1]
+            features = [output("features", path, "--set", method,
+                               "--window", window, "--truth", truth)
+                        for path in (csv_path, pcap_path)]
+            assert len(features[0]) == len(features[1]) > 2
+            assert features[0][0] == features[1][0]
+            for a, b in zip(features[0][1:], features[1][1:]):
+                assert a.split(",", 1) == ["synth-9", b.split(",", 1)[1]]
+                assert b.startswith("synth-9.pcap,")
+
+
+def test_analyze_of_a_header_only_packet_csv_is_an_input_error(
+        tmp_path, corpus, capsys):
+    packets = tmp_path / "empty.packets.csv"
+    packets.write_text((corpus / "synth-100.packets.csv").read_text()
+                       .splitlines(keepends=True)[0])
+    out = tmp_path / "est.csv"
+    assert run(["analyze", str(packets), "-o", str(out)]) == 1
+    assert f"{packets}: no packet rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_window_zero_is_an_input_error(tmp_path, corpus):
     packets = str(corpus / "synth-100.packets.csv")
     assert run(["analyze", packets, "--window", "0",
@@ -820,6 +877,8 @@ def _damaged(doc, damage):
         doc["classes"] = []
     elif damage == "node_counts_off":
         doc["trees"][0] += 1
+    elif damage == "fractional_node_count":
+        doc["trees"][0] = 1.5
     elif damage == "format_1":
         # format 1: one object of per-node lists per tree
         sizes = doc["trees"]
@@ -849,6 +908,8 @@ DAMAGE_SAID = {
     "integer_threshold": "threshold array of type <i4, not floats",
     "zero_itemsize": "feature array of type S, not integers",
     "node_counts_off": "node counts do not sum",
+    "fractional_node_count": "malformed model (TypeError: node indices of "
+                             "type float64, not integers)",
     "partial_item": "not a whole number of 4-byte items",
     "format_1": "unsupported model format 1; this version reads format 2, "
                 "so train the model again"}

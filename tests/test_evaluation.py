@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from vcaqoe.evaluation import (AllExcluded, EmptyAfterExclusion, EvalError,
+from vcaqoe.evaluation import (AllExcluded, ConfusionMatrix,
+                               EmptyAfterExclusion, EvalError,
                                ResolutionBinning, UnknownClass,
                                binning_for_heights, evaluate_metric, mae,
                                mrae, resolution_confusion, sweep,
@@ -81,6 +82,17 @@ def test_confusion_off_diagonal():
     assert cm.accuracy() == pytest.approx(2 / 3)
     assert cm.counts[1][0] == 1
     assert cm.row_totals == [1, 1, 1]
+
+
+def test_within_tolerance_without_a_valid_pair():
+    with pytest.raises(EmptyAfterExclusion):
+        within_tolerance([float("nan")], [1.0], 2)
+
+
+def test_confusion_accuracy_without_samples():
+    cm = ConfusionMatrix(["low", "mid"], [[0, 0], [0, 0]],
+                         [[0.0, 0.0], [0.0, 0.0]], [0, 0])
+    assert cm.accuracy() == 0.0
 
 
 def test_confusion_unknown_class():

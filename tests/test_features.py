@@ -219,6 +219,11 @@ def test_session_feature_rows_bad_set():
         session_feature_rows(session, "bogus")
 
 
+def test_semantic_params_need_a_positive_iat_threshold():
+    with pytest.raises(ValueError, match="theta_iat_ms must be positive"):
+        SemanticParams(theta_iat_ms=0)
+
+
 def test_session_feature_rows_empty_video():
     session, _truth, _log = generate(SenderProfile(), 3.0, seed=1)
     # without classification no packet is video

@@ -114,6 +114,12 @@ def test_validation_errors():
         m.fit(np.zeros((0, 3)), np.zeros(0))
     with pytest.raises(NonFiniteInput):
         m.fit(np.array([[np.nan]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="X must be 2-D"):
+        m.fit(np.zeros(5), np.zeros(5))
+    with pytest.raises(DimensionMismatch, match="5 rows but y has 4"):
+        m.fit(np.zeros((5, 2)), np.zeros(4))
+    with pytest.raises(NonFiniteInput, match="y contains non-finite"):
+        m.fit(np.zeros((5, 2)), np.array([0.0, 1.0, 2.0, 3.0, np.nan]))
     fitted = RandomForestRegressor(n_trees=2).fit(np.zeros((4, 3)),
                                                   np.arange(4.0))
     with pytest.raises(DimensionMismatch):

@@ -148,6 +148,12 @@ def test_window_width_must_be_a_positive_integer(w):
         analyze_session(session, w=w)
 
 
+def test_analyze_session_rejects_an_unknown_method():
+    session, _truth, _log = generate(SenderProfile(), 3.0, seed=1)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        analyze_session(session, "bogus")
+
+
 def test_two_second_windows_are_unchanged():
     session, _truth, log = generate(SenderProfile(), 6.0, seed=1)
     assert session_windows(session, 1) == range(1700000001, 1700000007)

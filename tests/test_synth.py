@@ -141,6 +141,14 @@ def test_invalid_profiles():
         SenderProfile(separable_depth=0).validate()
     with pytest.raises(ValueError):
         ImpairmentProfile(loss_prob=1.5)
+    for bad in ((10, 5), (0, 5)):
+        with pytest.raises(InvalidProfile, match="bad audio size range"):
+            generate(SenderProfile(audio_size_range=bad), 5.0, seed=0)
+    with pytest.raises(InvalidProfile, match="lacks a video entry"):
+        generate(SenderProfile(payload_type_map={111: MediaClass.AUDIO}),
+                 5.0, seed=0)
+    with pytest.raises(ValueError, match="delays must be non-negative"):
+        ImpairmentProfile(delay_jitter_ms=-1)
 
 
 def test_impair_noop_preserves_trace():
