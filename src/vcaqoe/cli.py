@@ -83,17 +83,15 @@ def cmd_synth(args):
         frame_size_jitter=args.size_jitter, audio_pps=args.audio_pps,
         separable=not args.non_separable,
         separable_depth=args.separable_depth)
-    impairment = None
-    if args.loss > 0 or args.jitter > 0 or args.base_delay > 0:
-        impairment = ImpairmentProfile(
-            base_delay_ms=args.base_delay, delay_jitter_ms=args.jitter,
-            loss_prob=args.loss / 100.0, retransmit=args.retransmit)
+    impairment = ImpairmentProfile(
+        base_delay_ms=args.base_delay, delay_jitter_ms=args.jitter,
+        loss_prob=args.loss / 100.0, retransmit=args.retransmit)
+    profile.validate(args.duration)
     os.makedirs(args.output, exist_ok=True)
     for i in range(args.sessions):
         seed = args.seed + i
         session, truth, frame_log = generate(profile, args.duration, seed)
-        if impairment is not None:
-            session = impair(session, impairment, seed, profile.ptmap())
+        session = impair(session, impairment, seed, profile.ptmap())
         base = os.path.join(args.output, session.session_id)
         write_packet_csv(session, base + ".packets.csv")
         write_ground_truth_csv(truth.rows, base + ".truth.csv")

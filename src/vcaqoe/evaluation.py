@@ -54,6 +54,8 @@ def mrae(pred, truth):
 
 
 def within_tolerance(pred, truth, tol):
+    if not tol >= 0:
+        raise EvalError(f"tolerance must not be negative or nan, got {tol}")
     p, t = _paired(pred, truth)
     if len(p) == 0:
         raise EmptyAfterExclusion("no valid pairs")

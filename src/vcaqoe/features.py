@@ -42,7 +42,7 @@ class SemanticParams:
     theta_iat_ms: float = 3.0
 
     def __post_init__(self):
-        if self.theta_iat_ms <= 0:
+        if not self.theta_iat_ms > 0:
             raise ValueError("theta_iat_ms must be positive")
 
 

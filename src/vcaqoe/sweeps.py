@@ -14,12 +14,12 @@ from .synth import ImpairmentProfile, SenderProfile, generate, impair, \
     truth_from_frame_log
 
 
-def _corpus(profile, n_sessions, duration_s, seed, impairment=None):
+def _corpus(profile, n_sessions, duration_s, seed,
+            impairment=ImpairmentProfile()):
     out = []
     for i in range(n_sessions):
         session, truth, frame_log = generate(profile, duration_s, seed + i)
-        if impairment is not None:
-            session = impair(session, impairment, seed + i)
+        session = impair(session, impairment, seed + i)
         out.append((session, truth, frame_log))
     return out
 

@@ -76,9 +76,21 @@ class SenderProfile:
             return PayloadTypeMap(dict(self.payload_type_map))
         return PayloadTypeMap()
 
-    def validate(self):
-        if self.fps <= 0 or self.bitrate_kbps <= 0:
-            raise InvalidProfile("fps and bitrate must be positive")
+    def validate(self, duration_s=None):
+        """InvalidProfile naming the first field generate cannot send with;
+        with duration_s, also when generate cannot send for that long."""
+        if duration_s is not None and not 2 <= duration_s < math.inf:
+            raise InvalidProfile("duration must be finite and at least 2 "
+                                 "seconds")
+        for name in ("fps", "bitrate_kbps", "keyframe_multiplier"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidProfile(f"{name} must be positive and finite")
+        for name in ("frame_size_jitter", "audio_pps"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidProfile(f"{name} must be finite and not "
+                                     "negative")
+        if not math.isfinite(self.start_time_s):
+            raise InvalidProfile("start_time_s must be finite")
         if self.keyframe_interval < 0:
             raise InvalidProfile("keyframe_interval must not be negative")
         if self.separable_depth < 1:
@@ -100,9 +112,11 @@ class ImpairmentProfile:
 
     def __post_init__(self):
         if not 0.0 <= self.loss_prob <= 1.0:
-            raise ValueError("loss_prob must be in [0, 1]")
-        if min(self.base_delay_ms, self.delay_jitter_ms, self.rtt_ms) < 0:
-            raise ValueError("delays must be non-negative")
+            raise InvalidProfile("loss_prob must be in [0, 1]")
+        for name in ("base_delay_ms", "delay_jitter_ms", "rtt_ms"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidProfile(f"delays must be non-negative and "
+                                     f"finite: {name}")
 
 
 @dataclass(frozen=True)
@@ -138,31 +152,19 @@ def _fragments(sizes, max_payload):
 
 
 def _separate(sizes, n_pkts, depth):
-    """Frame sizes widened until each frame's chunk, size // n_pkts, is at
-    least SEPARATION_MARGIN bytes from the chunks of the depth frames
-    before it, as those were widened; a step adds n_pkts bytes, one to the
-    chunk. This is the one step that depends on earlier frames. It runs as
-    a scalar pass that looks only at frames near an earlier chunk: first
-    as drawn, then as each widened chunk marks the frames after it.
-    """
-    chunk = sizes // n_pkts
-    near = np.zeros(len(sizes), dtype=bool)
-    for k in range(1, depth + 1):
-        near[k:] |= np.abs(chunk[k:] - chunk[:-k]) < SEPARATION_MARGIN
-    sizes, chunks, n_pkts = sizes.tolist(), chunk.tolist(), n_pkts.tolist()
-    near = near.tolist()
-    for i in range(len(sizes)):
-        if not near[i]:
-            continue
-        size, c, n = sizes[i], chunks[i], n_pkts[i]
-        recent = chunks[max(0, i - depth):i]
-        while any(abs(c - r) < SEPARATION_MARGIN for r in recent):
-            size += n
-            c = size // n
-        if size != sizes[i]:
-            sizes[i], chunks[i] = size, c
-            for j in range(i + 1, min(i + 1 + depth, len(sizes))):
-                near[j] = near[j] or abs(chunks[j] - c) < SEPARATION_MARGIN
+    """Frame sizes widened for separability: while a frame's chunk,
+    size // n_pkts, is within SEPARATION_MARGIN bytes of the chunk of one
+    of the depth frames before it, as those were widened, add n_pkts bytes
+    to its size."""
+    sizes, n_pkts = sizes.tolist(), n_pkts.tolist()
+    chunks = []
+    for i, n in enumerate(n_pkts):
+        chunk = sizes[i] // n
+        while any(abs(chunk - c) < SEPARATION_MARGIN
+                  for c in chunks[-depth:]):
+            sizes[i] += n
+            chunk = sizes[i] // n
+        chunks.append(chunk)
     return np.array(sizes, dtype=np.int64)
 
 
@@ -177,9 +179,7 @@ def generate(profile: SenderProfile, duration_s: float, seed: int,
     separability widening, and its packets from its size after it, so a
     widened frame can emit packets past its marker and its complete_us.
     """
-    profile.validate()
-    if duration_s < 2:
-        raise InvalidProfile("duration must be at least 2 seconds")
+    profile.validate(duration_s)
     rng = np.random.default_rng([int(seed), 0xC0FFEE])
     ptmap = profile.ptmap()
     pt_video = ptmap.payload_type_for(MediaClass.VIDEO)
@@ -294,8 +294,7 @@ def impair(session, profile: ImpairmentProfile, seed, ptmap=None):
     delays = np.full(n, base_us)
     if jitter_us > 0:
         delays = base_us + np.maximum(0.0, rng.normal(0.0, jitter_us, n))
-    lost = (rng.random(n) < profile.loss_prob if profile.loss_prob > 0
-            else np.zeros(n, dtype=bool))
+    lost = rng.random(n) < profile.loss_prob
 
     resent = np.zeros(n, dtype=bool)
     rtp_pt = cols.rtp_pt

@@ -1255,3 +1255,47 @@ def test_train_records_provenance(fps_model):
         "rows": data.count(b"\n") - 1,
         "sha256": hashlib.sha256(data).hexdigest()[:16], "target": "fps",
         "vcaqoe_version": vcaqoe.__version__}
+
+
+# a nan, infinite or negative parameter, and the field its error names;
+# "{c}" is the corpus directory
+BAD_PARAMETERS = [
+    (["synth", "--bitrate", "nan"], "bitrate_kbps"),
+    (["synth", "--bitrate", "inf"], "bitrate_kbps"),
+    (["synth", "--fps", "inf"], "fps"),
+    (["synth", "--fps", "nan"], "fps"),
+    (["synth", "--duration", "inf"], "duration"),
+    (["synth", "--duration", "nan"], "duration"),
+    (["synth", "--size-jitter", "-0.2"], "frame_size_jitter"),
+    (["synth", "--size-jitter", "nan"], "frame_size_jitter"),
+    (["synth", "--audio-pps", "-5"], "audio_pps"),
+    (["synth", "--audio-pps", "inf"], "audio_pps"),
+    (["synth", "--loss", "-5"], "loss_prob"),
+    (["synth", "--loss", "nan"], "loss_prob"),
+    (["synth", "--jitter", "-5"], "delay_jitter_ms"),
+    (["synth", "--jitter", "inf"], "delay_jitter_ms"),
+    (["synth", "--jitter", "nan"], "delay_jitter_ms"),
+    (["synth", "--base-delay", "-5"], "base_delay_ms"),
+    (["synth", "--base-delay", "nan"], "base_delay_ms"),
+    (["sweep", "--axis", "loss", "--values", "1", "--duration", "inf"],
+     "duration"),
+    (["sweep", "--axis", "jitter", "--values", "nan"], "delay_jitter_ms"),
+    (["features", "{c}/synth-100.packets.csv", "--theta-iat", "nan"],
+     "theta_iat_ms"),
+    (["evaluate", "{c}/synth-100.truth.csv", "{c}/synth-100.truth.csv",
+      "--tol", "nan"], "tolerance"),
+    (["evaluate", "{c}/synth-100.truth.csv", "{c}/synth-100.truth.csv",
+      "--tol", "-1"], "tolerance"),
+]
+
+
+@pytest.mark.parametrize("argv, field", BAD_PARAMETERS,
+                         ids=[" ".join(a) for a, _ in BAD_PARAMETERS])
+def test_bad_parameter_is_an_input_error_naming_it(tmp_path, corpus, capsys,
+                                                   argv, field):
+    out = tmp_path / "out"
+    argv = [a.replace("{c}", str(corpus)) for a in argv]
+    assert run([*argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()

@@ -984,6 +984,18 @@ def test_reference_widens_frames_past_their_packet_count():
     assert cols.rtp_marker[video].sum() == len(log)
 
 
+@settings(max_examples=40, deadline=None)
+@given(profile=generator_profiles, duration_s=st.floats(2.0, 5.0),
+       seed=st.integers(0, 2**31 - 1), impair_seed=st.integers(0, 1000))
+def test_zero_impairment_is_the_identity(profile, duration_s, seed,
+                                         impair_seed):
+    session, truth, log = generate(profile, duration_s, seed)
+    for zero in (ImpairmentProfile(), ImpairmentProfile(retransmit=True)):
+        out = impair(session, zero, impair_seed, profile.ptmap())
+        assert out.vca_label == session.vca_label
+        assert_same_generated((out, truth, log), (session, truth, log))
+
+
 # values that "%.6f" writes back unchanged, and nan
 csv_floats = st.one_of(st.just(math.nan), st.integers(-10**9, 10**9).map(
     lambda n: float(f"{n / 1e6:.6f}")))
