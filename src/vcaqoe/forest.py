@@ -124,20 +124,23 @@ def _stable_order(key, top):
     return np.argsort(key, kind="stable")
 
 
-def _best_splits(ranks, values, stats, rows, counts, feats, min_leaf):
+def _best_splits(ranks, values, stats, rows, counts, feats, min_leaf,
+                 draws=None):
     """Best cut of each node of a level over its drawn features.
 
     Node j owns the next counts[j] entries of rows, with split statistics
     in the same entries of stats, and may cut on the ascending features
-    feats[j] (ranks, values: see _column_ranks). A cut's gain, the node's
-    impurity less its children's weighted impurity, is the sum over the
-    columns of stats of (L**2 / nl + R**2 / nr - T**2 / n) / n, with L, R
-    and T the column's left, right and node sums. A threshold is the
-    midpoint of two consecutive distinct values in the node. Cuts within
-    1e-9 (relative) of the best gain tie with it, so rounding never picks
-    among equal cuts; ties go to the lowest feature, then the lowest
+    feats[j] (ranks, values: see _column_ranks). Entry i stands for
+    draws[i] draws of its row (one when draws is None), and its stats are
+    their sums. A cut's gain, the node's impurity less its children's
+    weighted impurity, is the sum over the columns of stats of
+    (L**2 / nl + R**2 / nr - T**2 / n) / n, with L, R and T the column's
+    left, right and node sums and nl, nr and n their draws. A threshold
+    is the midpoint of two consecutive distinct values in the node. Cuts
+    within 1e-9 (relative) of the best gain tie with it, so rounding never
+    picks among equal cuts; ties go to the lowest feature, then the lowest
     threshold. Returns per node the gain (0 where no cut leaves min_leaf
-    rows a side), feature, threshold and left size, and rows sorted on
+    draws a side), feature, threshold and left entries, and rows sorted on
     each node's feature.
     """
     m, mf = feats.shape
@@ -155,19 +158,24 @@ def _best_splits(ranks, values, stats, rows, counts, feats, min_leaf):
     del order
     cut = np.flatnonzero(key[1:] > key[:-1])
     pair = key[cut] // stride
-    nl = cut - pair_start[pair] + 1
-    nr = n_pair[pair] - nl
+
+    def sums(column):
+        """Each cut's left sum of column, and each pair's total."""
+        cs = np.cumsum(column[at])
+        end = cs[pair_end - 1]
+        base = np.concatenate([[0], end[:-1]])
+        return cs[cut] - base[pair], end - base
+
+    nl, n = sums(np.ones(len(rows), np.int64) if draws is None else draws)
+    nr = n[pair] - nl
     keep = (nl >= min_leaf) & (nr >= min_leaf)
     cut, pair, nl, nr = cut[keep], pair[keep], nl[keep], nr[keep]
     gain = 0.0
     for column in stats.T:
-        cs = np.cumsum(column[at])
-        end = cs[pair_end - 1]
-        base = np.concatenate([[0], end[:-1]])
-        left, total = cs[cut] - base[pair], (end - base)[pair]
-        gain = (gain + left ** 2 / nl + (total - left) ** 2 / nr
-                - total ** 2 / (nl + nr))
-    gain = gain / (nl + nr)
+        left, total = sums(column)
+        gain = (gain + left ** 2 / nl + (total[pair] - left) ** 2 / nr
+                - (total ** 2 / n)[pair])
+    gain = gain / n[pair]
     node = pair // mf
     first = np.flatnonzero(np.diff(node, prepend=-1))
     high = np.maximum.reduceat(gain, first)
@@ -177,7 +185,8 @@ def _best_splits(ranks, values, stats, rows, counts, feats, min_leaf):
     j, offset = node[win], pair[win] * stride
     best, best_pair = np.zeros(m), np.arange(m) * mf
     threshold, n_left = np.zeros(m), np.zeros(m, dtype=np.int64)
-    best[j], best_pair[j], n_left[j] = gain[win], pair[win], nl[win]
+    best[j], best_pair[j] = gain[win], pair[win]
+    n_left[j] = cut[win] - pair_start[pair[win]] + 1
     threshold[j] = (values[key[cut[win]] - offset]
                     + values[key[cut[win] + 1] - offset]) / 2.0
     return (best, feats.ravel()[best_pair], threshold, n_left,
@@ -257,18 +266,23 @@ class _BaseForest:
         n, d, g = len(y), len(ranks), len(group)
         min_leaf = int(self.min_samples_leaf)
         rngs = [np.random.default_rng([int(self.seed), t]) for t in group]
-        rows = np.concatenate([rng.integers(0, n, n) if self.bootstrap
-                               else np.arange(n) for rng in rngs])
-        counts = np.full(g, n)
+        # a tree grows on the distinct rows its sample drew, each standing
+        # for its copies[tree, row] draws
+        copies = np.array([np.bincount(rng.integers(0, n, n), minlength=n)
+                           if self.bootstrap else np.ones(n, np.int64)
+                           for rng in rngs])
+        rows = np.nonzero(copies)[1]
+        counts = np.count_nonzero(copies, axis=1)
         tree = np.arange(g)     # a level's nodes, ordered by tree
         importances = np.zeros((g, d))
         levels = []
         depth = 0
         while len(counts):
             m = len(counts)
-            impurity, value, stats = self._node_stats(
-                y[rows], np.repeat(np.arange(m), counts), m)
-            weighted = counts * impurity
+            draws = copies[np.repeat(tree, counts), rows]
+            impurity, value, stats, weight = self._node_stats(
+                y[rows], np.repeat(np.arange(m), counts), m, draws)
+            weighted = weight * impurity
             if depth:
                 # a split's impurity decrease, from its own node's and its
                 # children's rows only, whatever else grows in the level
@@ -277,7 +291,7 @@ class _BaseForest:
             feature, threshold = np.full(m, -1), np.zeros(m)
             levels.append((tree, feature, threshold, value))
             split = np.flatnonzero((impurity > 0.0)
-                                   & (counts >= 2 * min_leaf))
+                                   & (weight >= 2 * min_leaf))
             if depth >= int(self.max_depth) or not len(split):
                 break
             drawn = np.bincount(tree[split], minlength=g)
@@ -287,7 +301,8 @@ class _BaseForest:
             size = counts[split]
             pick = _ranges((np.cumsum(counts) - counts)[split], size)
             gain, f, thr, n_left, rows = _best_splits(
-                ranks, values, stats[pick], rows[pick], size, feats, min_leaf)
+                ranks, values, stats[pick], rows[pick], size, feats, min_leaf,
+                draws[pick])
             ok = gain > 1e-12
             done = split[ok]
             feature[done], threshold[done], value[done] = f[ok], thr[ok], 0.0
@@ -347,15 +362,17 @@ class RandomForestRegressor(_BaseForest):
     def _encode_targets(self, y):
         return np.asarray(y, dtype=np.float64)
 
-    def _node_stats(self, y, node, m):
-        """Per node variance and mean; per row the split statistic, the
-        target less the node's mean rounded to an integer. Integer targets
-        keep exact sums, and a level's running sums stay small, so a
-        node's cuts keep their precision wherever it lies in the level."""
-        n = np.bincount(node, minlength=m)
-        mean = np.bincount(node, y, m) / n
-        return (np.bincount(node, (y - mean[node]) ** 2, m) / n, mean,
-                (y - np.round(mean)[node])[:, None])
+    def _node_stats(self, y, node, m, draws=None):
+        """Per node variance, mean and draws (one per row when draws is
+        None); per row the split statistic, its draws times the target
+        less the node's mean rounded to an integer. Integer targets keep
+        exact sums, and a level's running sums stay small, so a node's
+        cuts keep their precision wherever it lies in the level."""
+        w = np.ones(len(y), np.int64) if draws is None else draws
+        n = np.bincount(node, w, m)
+        mean = np.bincount(node, w * y, m) / n
+        return (np.bincount(node, w * (y - mean[node]) ** 2, m) / n, mean,
+                (w * (y - np.round(mean)[node]))[:, None], n)
 
     def predict(self, X):
         return self._predict_matrix(X).mean(axis=0)
@@ -372,13 +389,16 @@ class RandomForestClassifier(_BaseForest):
         self._n_classes = len(self.classes_)
         return codes.astype(np.int64)
 
-    def _node_stats(self, codes, node, m):
+    def _node_stats(self, codes, node, m, draws=None):
         k = self._n_classes
-        counts = np.bincount(node * k + codes, minlength=m * k).reshape(m, k)
-        p = counts / counts.sum(axis=1, keepdims=True)
+        w = np.ones(len(codes), np.int64) if draws is None else draws
+        counts = np.bincount(node * k + codes, w, m * k).reshape(m, k)
+        n = counts.sum(axis=1)
+        p = counts / n[:, None]
         # majority class, ties to the lowest label; one-hot split statistics
+        # summed over each row's draws
         return (1.0 - (p * p).sum(axis=1), np.argmax(counts, axis=1) * 1.0,
-                codes[:, None] == np.arange(k))
+                (codes[:, None] == np.arange(k)) * w[:, None], n)
 
     def predict(self, X):
         # first-max vote, so ties break to the lowest label

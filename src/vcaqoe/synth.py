@@ -78,7 +78,8 @@ class SenderProfile:
 
     def validate(self, duration_s=None):
         """InvalidProfile naming the first field generate cannot send with;
-        with duration_s, also when generate cannot send for that long."""
+        with duration_s, also when generate cannot send for that long or
+        would send no packet in that time."""
         if duration_s is not None and not 2 <= duration_s < math.inf:
             raise InvalidProfile("duration must be finite and at least 2 "
                                  "seconds")
@@ -100,6 +101,11 @@ class SenderProfile:
         lo, hi = self.audio_size_range
         if not (1 <= lo <= hi):
             raise InvalidProfile("bad audio size range")
+        if duration_s is None or math.floor(duration_s * self.fps):
+            return
+        audio = self.ptmap().payload_type_for(MediaClass.AUDIO)
+        if audio is None or not math.floor(duration_s * self.audio_pps):
+            raise InvalidProfile(f"no packet is sent in {duration_s} s")
 
 
 @dataclass(frozen=True)
@@ -235,8 +241,6 @@ def generate(profile: SenderProfile, duration_s: float, seed: int,
     rows = np.concatenate(parts, axis=1)
     rows = rows[:, np.argsort(rows[0], kind="stable")]
     n = rows.shape[1]
-    if not n:
-        raise InvalidProfile(f"no packet is sent in {duration_s} s")
     sid = session_id or f"synth-{seed}"
     session = Session(sid, "synthetic", columns=PacketColumns(
         *rows[:6], np.full(n, NO_CLASS)), fields=RecordFields(

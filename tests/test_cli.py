@@ -540,7 +540,7 @@ def test_synth_that_sends_no_packet_is_an_input_error(tmp_path, capsys):
     assert run(["synth", "--fps", "0.4", "--audio-pps", "0", "--duration",
                 "2", "-o", str(out)]) == 1
     assert "no packet" in capsys.readouterr().err
-    assert not os.listdir(out)
+    assert not out.exists()
 
 
 def test_trees_below_one_is_an_input_error(tmp_path, corpus):

@@ -759,6 +759,36 @@ def test_level_wise_growth_matches_depth_first(problem, min_leaf, max_depth,
         assert list(pred[t]) == [reference_predict(ref, x) for x in grid]
 
 
+@settings(max_examples=150, deadline=None)
+@given(problem=split_problems(), min_leaf=st.integers(1, 3),
+       max_depth=st.integers(1, 6), seed=st.integers(0, 2**16),
+       task=st.sampled_from(["regression", "classification"]))
+def test_a_row_drawn_k_times_weighs_as_k_copies(problem, min_leaf, max_depth,
+                                                seed, task):
+    """A bootstrap tree has the nodes of a tree grown without bootstrap on
+    its sample's rows, each repeated as often as it was drawn."""
+    X, y = np.array(problem[0], dtype=float), np.array(problem[1])
+    n, d = X.shape
+    cls = (RandomForestRegressor if task == "regression"
+           else RandomForestClassifier)
+    params = dict(n_trees=1, max_depth=max_depth, min_samples_leaf=min_leaf,
+                  max_features=d, seed=seed)
+    drawn = cls(bootstrap=True, **params).fit(X, y)
+    rows = np.random.default_rng([seed, 0]).integers(0, n, n)
+    copied = cls(bootstrap=False, **params).fit(X[rows], y[rows])
+    assert np.array_equal(drawn._sizes, copied._sizes)
+    for k in ("feature", "threshold", "left", "right"):
+        assert np.array_equal(getattr(drawn._nodes, k),
+                              getattr(copied._nodes, k)), k
+    # a class index counts among the classes the fit saw; a leaf's label
+    # must agree
+    leaf = drawn._nodes.feature < 0
+    labels = [m._nodes.value[leaf] if task == "regression" else
+              m.classes_[m._nodes.value[leaf].astype(int)]
+              for m in (drawn, copied)]
+    assert np.array_equal(*labels)
+
+
 def reference_of(tree, node=0):
     """A _Tree's subtree at node, in reference_tree's form."""
     if tree.feature[node] < 0:
