@@ -5,7 +5,8 @@ get_params giving the constructor arguments that save_forest records, but
 carry no external ML dependency.
 Training is deterministic for a fixed seed: every tree draws its bootstrap
 sample and per-node feature subsets from its own RNG stream derived from
-(seed, tree index), so parallel scheduling cannot change the result.
+(seed, tree index), so how many trees grow together cannot change the
+result.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .ingest import _atomic_write_bytes
 from .validation import (DimensionMismatch, check_fitted, check_matrix,
                          check_X_y)
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 class ForestError(Exception):
@@ -48,23 +49,31 @@ def _indices(a):
     return a.astype(np.int64, copy=False)
 
 
-# a node's fields, and the dtype of each one's array in a model file
-_FILE_DTYPES = {"feature": "<i4", "threshold": "<f8", "left": "<i4",
-                "right": "<i4", "value": "<f8"}
+# the fields of a model file's node table, and the dtype of each one's
+# array: a split's threshold and a leaf's value share the float field
+_FILE_DTYPES = {"feature": "<i4", "threshold_or_value": "<f8"}
 
 
 class _Tree:
-    """Flat-array binary tree; leaves have feature == -1, and children are
-    numbered from the tree's first node. A forest keeps all its trees end
-    to end in one _Tree, its node table."""
+    """Flat-array binary tree, nodes breadth-first: leaves have feature -1
+    and threshold 0, splits value 0, and the k-th split (from 0) has the
+    tree's nodes 2k + 1 and 2k + 2 as children. A forest keeps all its
+    trees end to end in one _Tree, its node table."""
 
-    __slots__ = tuple(_FILE_DTYPES)
+    __slots__ = ("feature", "threshold", "value")
 
-    def __init__(self, feature, threshold, left, right, value):
-        self.feature, self.left, self.right = map(_indices,
-                                                  (feature, left, right))
+    def __init__(self, feature, threshold, value):
+        self.feature = _indices(feature)
         self.threshold, self.value = (
             np.asarray(a, dtype=np.float64) for a in (threshold, value))
+
+
+def _split_ranks(sizes, split):
+    """For each node of trees of sizes nodes each, end to end, how many of
+    split's nodes come before it in its tree: the rank k that gives a split
+    its children 2k + 1 and 2k + 2."""
+    k = np.cumsum(split) - split
+    return k - np.repeat(k[np.cumsum(sizes) - sizes], sizes)
 
 
 # (row, drawn feature) entries one level of a group of trees sorts at once,
@@ -86,9 +95,9 @@ def _node_table(sizes, nodes):
     roots = np.cumsum(sizes) - sizes
     feature = nodes.feature
     split = feature >= 0
-    child = np.where(split, np.stack([nodes.left, nodes.right])
-                     + np.repeat(roots, sizes),
-                     np.arange(len(feature))).T.ravel()
+    kids = (2 * _split_ranks(sizes, split) + np.repeat(roots, sizes)
+            + np.array([[1], [2]]))
+    child = np.where(split, kids, np.arange(len(feature))).T.ravel()
     depth, frontier = 0, roots[split[roots]]
     reached = np.zeros(len(feature), dtype=bool)
     while len(frontier):
@@ -124,24 +133,22 @@ def _stable_order(key, top):
     return np.argsort(key, kind="stable")
 
 
-def _best_splits(ranks, values, stats, rows, counts, feats, min_leaf,
-                 draws=None):
+def _best_splits(ranks, values, stats, rows, counts, feats, min_leaf, draws):
     """Best cut of each node of a level over its drawn features.
 
     Node j owns the next counts[j] entries of rows, with split statistics
     in the same entries of stats, and may cut on the ascending features
     feats[j] (ranks, values: see _column_ranks). Entry i stands for
-    draws[i] draws of its row (one when draws is None), and its stats are
-    their sums. A cut's gain, the node's impurity less its children's
-    weighted impurity, is the sum over the columns of stats of
-    (L**2 / nl + R**2 / nr - T**2 / n) / n, with L, R and T the column's
-    left, right and node sums and nl, nr and n their draws. A threshold
-    is the midpoint of two consecutive distinct values in the node. Cuts
-    within 1e-9 (relative) of the best gain tie with it, so rounding never
-    picks among equal cuts; ties go to the lowest feature, then the lowest
-    threshold. Returns per node the gain (0 where no cut leaves min_leaf
-    draws a side), feature, threshold and left entries, and rows sorted on
-    each node's feature.
+    draws[i] draws of its row, and its stats are their sums. A cut's gain,
+    the node's impurity less its children's weighted impurity, is the sum
+    over the columns of stats of (L**2 / nl + R**2 / nr - T**2 / n) / n,
+    with L, R and T the column's left, right and node sums and nl, nr and
+    n their draws. A threshold is the midpoint of two consecutive distinct
+    values in the node. Cuts within 1e-9 (relative) of the best gain tie
+    with it, so rounding never picks among equal cuts; ties go to the
+    lowest feature, then the lowest threshold. Returns per node the gain
+    (0 where no cut leaves min_leaf draws a side), feature, threshold and
+    left entries, and rows sorted on each node's feature.
     """
     m, mf = feats.shape
     n_pair = np.repeat(counts, mf)
@@ -166,7 +173,7 @@ def _best_splits(ranks, values, stats, rows, counts, feats, min_leaf,
         base = np.concatenate([[0], end[:-1]])
         return cs[cut] - base[pair], end - base
 
-    nl, n = sums(np.ones(len(rows), np.int64) if draws is None else draws)
+    nl, n = sums(draws)
     nr = n[pair] - nl
     keep = (nl >= min_leaf) & (nr >= min_leaf)
     cut, pair, nl, nr = cut[keep], pair[keep], nl[keep], nr[keep]
@@ -207,18 +214,11 @@ class _BaseForest:
 
     @property
     def trees_(self):
-        """The trees, as a list of _Tree views of the model's node table.
-        Assigning a list of trees makes them the model's table."""
+        """The trees, as a list of _Tree views of the model's node table."""
         bounds = np.cumsum(self._sizes)[:-1]
         return [_Tree(*fields) for fields in zip(*(
             np.split(getattr(self._nodes, k), bounds)
             for k in _Tree.__slots__))]
-
-    @trees_.setter
-    def trees_(self, trees):
-        self._sizes = np.array([len(t.feature) for t in trees])
-        self._nodes = _Tree(*(np.concatenate([getattr(t, k) for t in trees])
-                              for k in _Tree.__slots__))
 
     def get_params(self):
         names = inspect.signature(type(self).__init__).parameters
@@ -315,15 +315,8 @@ class _BaseForest:
         tree, *arrays = (np.concatenate(a) for a in zip(*levels))
         order = np.argsort(tree, kind="stable")
         f, thr, v = (a[order] for a in arrays)
-        sizes = np.bincount(tree, minlength=g)
-        # breadth-first: the k-th split of a tree, counting from 0, has
-        # children 2k + 1 and 2k + 2
-        split = f >= 0
-        k = np.cumsum(split) - split
-        k -= np.repeat(k[np.cumsum(sizes) - sizes], sizes)
-        left = np.where(split, 2 * k + 1, -1)
-        right = np.where(split, 2 * k + 2, -1)
-        return sizes, f, thr, left, right, v, importances
+        # breadth-first, so each split's children follow from its rank
+        return np.bincount(tree, minlength=g), f, thr, v, importances
 
     def _predict_matrix(self, X):
         """Each tree's leaf value for each row of X, as an (n_trees, n_rows)
@@ -362,13 +355,12 @@ class RandomForestRegressor(_BaseForest):
     def _encode_targets(self, y):
         return np.asarray(y, dtype=np.float64)
 
-    def _node_stats(self, y, node, m, draws=None):
-        """Per node variance, mean and draws (one per row when draws is
-        None); per row the split statistic, its draws times the target
-        less the node's mean rounded to an integer. Integer targets keep
-        exact sums, and a level's running sums stay small, so a node's
-        cuts keep their precision wherever it lies in the level."""
-        w = np.ones(len(y), np.int64) if draws is None else draws
+    def _node_stats(self, y, node, m, w):
+        """Per node variance, mean and draws (w per row); per row the split
+        statistic, its draws times the target less the node's mean rounded
+        to an integer. Integer targets keep exact sums, and a level's
+        running sums stay small, so a node's cuts keep their precision
+        wherever it lies in the level."""
         n = np.bincount(node, w, m)
         mean = np.bincount(node, w * y, m) / n
         return (np.bincount(node, w * (y - mean[node]) ** 2, m) / n, mean,
@@ -389,9 +381,8 @@ class RandomForestClassifier(_BaseForest):
         self._n_classes = len(self.classes_)
         return codes.astype(np.int64)
 
-    def _node_stats(self, codes, node, m, draws=None):
+    def _node_stats(self, codes, node, m, w):
         k = self._n_classes
-        w = np.ones(len(codes), np.int64) if draws is None else draws
         counts = np.bincount(node * k + codes, w, m * k).reshape(m, k)
         n = counts.sum(axis=1)
         p = counts / n[:, None]
@@ -439,13 +430,16 @@ def kfold_by_session(groups, k=5, seed=0):
 def save_forest(model, path, feature_names, provenance=None):
     """Serialize a fitted forest to a versioned, self-describing JSON file:
     each tree's node count under "trees", and the node table under
-    "nodes", one base64 little-endian array per field. provenance, a
-    JSON object saying what the model was trained on, is recorded when
-    given."""
+    "nodes", one base64 little-endian array per field of _FILE_DTYPES.
+    provenance, a JSON object saying what the model was trained on, is
+    recorded when given."""
     check_fitted(model)
     if len(feature_names) != model.n_features_:
         raise FeatureNameMismatch(
             f"{len(feature_names)} names for {model.n_features_} features")
+    nodes = model._nodes
+    fields = (nodes.feature, np.where(nodes.feature >= 0, nodes.threshold,
+                                      nodes.value))
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "task": model.task,
@@ -454,8 +448,8 @@ def save_forest(model, path, feature_names, provenance=None):
         "feature_importances": model.feature_importances_.tolist(),
         "trees": model._sizes.tolist(),
         "nodes": {k: {"dtype": dtype, "data": base64.b64encode(
-            getattr(model._nodes, k).astype(dtype).tobytes()).decode()}
-            for k, dtype in _FILE_DTYPES.items()},
+            a.astype(dtype).tobytes()).decode()}
+            for (k, dtype), a in zip(_FILE_DTYPES.items(), fields)},
     }
     if model.task == "classification":
         doc["classes"] = model.classes_.tolist()
@@ -480,35 +474,38 @@ def _decode(name, entry):
     return np.frombuffer(data, dtype)
 
 
-def _check_trees(sizes, nodes, n_features, n_classes=None):
-    """ForestError unless there are trees, each of at least one node; the
-    fields of nodes, the node table, have one length, which the tree sizes
-    sum to; each split names a known feature and two nodes after it in its
-    tree; every threshold and value is finite and, for a classifier of
+def _check_trees(sizes, f, mixed, n_features, n_classes=None):
+    """ForestError unless there are trees, each of at least one node; f
+    and mixed, a file's two node fields, have one length, which the tree
+    sizes sum to; each split names a known feature; each tree has one node
+    more than twice its splits and its k-th split comes before node
+    2k + 1, so every node but the root is the child of one split before
+    it; every threshold and value is finite and, for a classifier of
     n_classes classes, every leaf value is a class index."""
     if not len(sizes):
         raise ForestError("no trees")
-    n = len(nodes.feature)
-    if (sizes <= 0).any() or any(len(getattr(nodes, k)) != n
-                                 for k in _Tree.__slots__):
+    n = len(f)
+    if (sizes <= 0).any() or len(mixed) != n:
         raise ForestError("tree arrays are empty or differ in length")
     if sizes.ndim != 1 or (sizes > n).any() or sizes.sum() != n:
         raise ForestError(f"tree node counts do not sum to the {n} nodes of "
                           f"the arrays")
-    f, threshold, left, right, value = (
-        getattr(nodes, k) for k in _Tree.__slots__)
-    end = np.repeat(sizes, sizes)
-    node = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    lo, hi = np.minimum(left, right), np.maximum(left, right)
-    if ((f < -1) | (f >= n_features)
-            | (f >= 0) & ((lo <= node) | (hi >= end))).any():
-        raise ForestError("a tree splits on an unknown feature or node")
-    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+    if ((f < -1) | (f >= n_features)).any():
+        raise ForestError("a tree splits on an unknown feature")
+    split = f >= 0
+    roots = np.cumsum(sizes) - sizes
+    if (sizes != 2 * np.add.reduceat(split, roots) + 1).any():
+        raise ForestError("a tree's node count is not one more than twice "
+                          "its splits")
+    node = np.arange(n) - np.repeat(roots, sizes)
+    if (split & (node > 2 * _split_ranks(sizes, split))).any():
+        raise ForestError("a split does not come before its children")
+    if not np.isfinite(mixed).all():
         raise ForestError("a threshold or node value is not finite")
     if n_classes is not None:
         if not n_classes:
             raise ForestError("a classifier with no classes")
-        leaf = value[f < 0]
+        leaf = mixed[~split]
         if ((leaf % 1 != 0) | (leaf < 0) | (leaf >= n_classes)).any():
             raise ForestError(f"a leaf value is not a class index below "
                               f"{n_classes}")
@@ -531,14 +528,14 @@ def load_forest(path, expected_feature_names=None):
                "classification": RandomForestClassifier}[doc["task"]]
         model = cls(**doc["params"])
         sizes = _indices(doc["trees"])
-        nodes = _Tree(*(_decode(k, doc["nodes"][k]) for k in _FILE_DTYPES))
+        f, mixed = (_decode(k, doc["nodes"][k]) for k in _FILE_DTYPES)
         model.feature_importances_ = np.asarray(doc["feature_importances"],
                                                 dtype=np.float64)
         n_classes = None
         if cls is RandomForestClassifier:
             model.classes_ = np.asarray(doc["classes"])
             n_classes = len(model.classes_)
-        _check_trees(sizes, nodes, len(names), n_classes)
+        _check_trees(sizes, f, mixed, len(names), n_classes)
     except (KeyError, TypeError, ValueError, ForestError) as exc:
         raise ForestError(f"{path}: malformed model "
                           f"({type(exc).__name__}: {exc})") from exc
@@ -546,7 +543,8 @@ def load_forest(path, expected_feature_names=None):
             and list(expected_feature_names) != names):
         raise FeatureNameMismatch(
             f"model was trained on {names}, got {list(expected_feature_names)}")
-    model._sizes, model._nodes = sizes, nodes
+    split = f >= 0
+    model._sizes, model._nodes = sizes, _Tree(
+        f, np.where(split, mixed, 0.0), np.where(split, 0.0, mixed))
     model.n_features_ = len(names)
-    model.feature_names_ = names
     return model

@@ -844,9 +844,17 @@ def _damaged(doc, damage):
     elif damage == "list":
         doc = [doc]
     elif damage == "ragged_tree":
-        nodes["threshold"] = np.append(nodes["threshold"], 0.5)
-    elif damage == "child_loop":
-        nodes["left"][0] = 0
+        nodes["threshold_or_value"] = np.append(nodes["threshold_or_value"],
+                                                0.5)
+    elif damage == "split_after_its_children":
+        # leaf, split, leaf: the split's children would be itself and the
+        # node after it
+        doc["trees"][0] = 3
+        nodes = {k: np.concatenate([a[[first - 1, 0, first - 1]], a[first:]])
+                 for k, a in nodes.items()}
+    elif damage == "node_count_not_odd":
+        doc["trees"][0] -= 1
+        nodes = {k: np.delete(a, first - 1) for k, a in nodes.items()}
     elif damage == "feature_out_of_range":
         nodes["feature"][0] = len(doc["feature_names"])
     elif damage == "negative_feature":
@@ -859,20 +867,20 @@ def _damaged(doc, damage):
         nodes["feature"] = nodes["feature"].astype(float)
         nodes["feature"][0] = 1.5
     elif damage == "integer_threshold":
-        dtypes["threshold"] = "<i4"
+        dtypes["threshold_or_value"] = "<i4"
     elif damage == "zero_itemsize":
         # a dtype of zero-byte items, which no item count divides
         dtypes["feature"] = "S"
     elif damage == "nan_threshold":
-        nodes["threshold"][0] = float("nan")
+        nodes["threshold_or_value"][0] = float("nan")
     elif damage == "nan_value":
-        nodes["value"][first - 1] = float("nan")
+        nodes["threshold_or_value"][first - 1] = float("nan")
     elif damage == "no_trees":
         doc["trees"] = []
     elif damage == "class_out_of_range":
-        nodes["value"][first - 1] = 99.0
+        nodes["threshold_or_value"][first - 1] = 99.0
     elif damage == "fractional_class":
-        nodes["value"][first - 1] = 0.5
+        nodes["threshold_or_value"][first - 1] = 0.5
     elif damage == "no_classes":
         doc["classes"] = []
     elif damage == "node_counts_off":
@@ -885,11 +893,26 @@ def _damaged(doc, damage):
         doc["trees"] = [{k: a[e - n:e].tolist() for k, a in nodes.items()}
                         for n, e in zip(sizes, np.cumsum(sizes))]
         doc["format_version"] = 1
+    elif damage == "format_2":
+        # format 2: each node's children, and a threshold and a value each
+        f, mixed = nodes.pop("feature"), nodes.pop("threshold_or_value")
+        split = f >= 0
+        k = np.cumsum(split) - split
+        k -= np.repeat(k[np.cumsum(doc["trees"]) - doc["trees"]],
+                       doc["trees"])
+        nodes = {"feature": f, "threshold": np.where(split, mixed, 0.0),
+                 "left": np.where(split, 2 * k + 1, -1),
+                 "right": np.where(split, 2 * k + 2, -1),
+                 "value": np.where(split, 0.0, mixed)}
+        dtypes = {"feature": "<i4", "threshold": "<f8", "left": "<i4",
+                  "right": "<i4", "value": "<f8"}
+        doc["format_version"] = 2
     if isinstance(doc, dict) and "nodes" in doc:
         doc["nodes"] = {k: _encoded(a, dtypes[k]) for k, a in nodes.items()}
     if damage == "partial_item":
-        doc["nodes"]["right"]["data"] = base64.b64encode(
-            base64.b64decode(doc["nodes"]["right"]["data"]) + b"\0").decode()
+        field = doc["nodes"]["threshold_or_value"]
+        field["data"] = base64.b64encode(
+            base64.b64decode(field["data"]) + b"\0").decode()
     elif damage == "format_1":
         del doc["nodes"]
     return doc
@@ -898,20 +921,24 @@ def _damaged(doc, damage):
 # what the error says of each fault _damaged makes
 DAMAGE_SAID = {
     "no_feature_names": "feature_names", "list": "not a model",
-    "ragged_tree": "differ in length", "child_loop": "unknown feature or node",
-    "feature_out_of_range": "unknown feature or node",
-    "negative_feature": "unknown feature or node",
+    "ragged_tree": "differ in length",
+    "split_after_its_children": "a split does not come before its children",
+    "node_count_not_odd": "node count is not one more than twice its splits",
+    "feature_out_of_range": "unknown feature",
+    "negative_feature": "unknown feature",
     "fractional_feature": "not integers", "nan_threshold": "not finite",
     "nan_value": "not finite", "no_trees": "no trees",
     "class_out_of_range": "not a class index",
     "fractional_class": "not a class index", "no_classes": "no classes",
-    "integer_threshold": "threshold array of type <i4, not floats",
+    "integer_threshold": "threshold_or_value array of type <i4, not floats",
     "zero_itemsize": "feature array of type S, not integers",
     "node_counts_off": "node counts do not sum",
     "fractional_node_count": "malformed model (TypeError: node indices of "
                              "type float64, not integers)",
-    "partial_item": "not a whole number of 4-byte items",
-    "format_1": "unsupported model format 1; this version reads format 2, "
+    "partial_item": "not a whole number of 8-byte items",
+    "format_1": "unsupported model format 1; this version reads format 3, "
+                "so train the model again",
+    "format_2": "unsupported model format 2; this version reads format 3, "
                 "so train the model again"}
 
 

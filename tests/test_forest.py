@@ -209,7 +209,7 @@ def test_load_rejects_wrong_feature_names(tmp_path):
 def _assert_same_nodes(a, b):
     """a and b, fitted forests, hold the same trees node for node."""
     assert np.array_equal(a._sizes, b._sizes)
-    for k in forest._FILE_DTYPES:
+    for k in forest._Tree.__slots__:
         assert np.array_equal(getattr(a._nodes, k), getattr(b._nodes, k)), k
 
 

@@ -667,10 +667,11 @@ def test_best_split_matches_per_column_scan(problem, min_leaf, task):
     y = model._encode_targets(problem[1])
     n_classes = len(np.unique(problem[1]))
     n, m = X.shape
-    stats = model._node_stats(y, np.zeros(n, dtype=np.int64), 1)[2]
+    draws = np.ones(n, np.int64)
+    stats = model._node_stats(y, np.zeros(n, dtype=np.int64), 1, draws)[2]
     gain, feature, threshold, n_left, rows = _best_splits(
         *_column_ranks(X), stats, np.arange(n), np.array([n]),
-        np.arange(m)[None, :], min_leaf)
+        np.arange(m)[None, :], min_leaf, draws)
     want = reference_best_split(X, y, min_leaf, task, n_classes)
     if want is None:
         assert gain[0] == 0.0
@@ -777,7 +778,7 @@ def test_a_row_drawn_k_times_weighs_as_k_copies(problem, min_leaf, max_depth,
     rows = np.random.default_rng([seed, 0]).integers(0, n, n)
     copied = cls(bootstrap=False, **params).fit(X[rows], y[rows])
     assert np.array_equal(drawn._sizes, copied._sizes)
-    for k in ("feature", "threshold", "left", "right"):
+    for k in ("feature", "threshold"):
         assert np.array_equal(getattr(drawn._nodes, k),
                               getattr(copied._nodes, k)), k
     # a class index counts among the classes the fit saw; a leaf's label
@@ -790,29 +791,28 @@ def test_a_row_drawn_k_times_weighs_as_k_copies(problem, min_leaf, max_depth,
 
 
 def reference_of(tree, node=0):
-    """A _Tree's subtree at node, in reference_tree's form."""
+    """A _Tree's subtree at node, in reference_tree's form: the split with
+    k splits before it in the tree has children 2k + 1 and 2k + 2."""
     if tree.feature[node] < 0:
         return tree.value[node]
+    k = np.count_nonzero(tree.feature[:node] >= 0)
     return (tree.feature[node], tree.threshold[node],
-            reference_of(tree, tree.left[node]),
-            reference_of(tree, tree.right[node]))
+            reference_of(tree, 2 * k + 1), reference_of(tree, 2 * k + 2))
 
 
-def tree_of(ref):
-    """A _Tree of a tree in reference_tree's form, nodes in preorder."""
-    nodes = []
-
-    def visit(ref):
-        i = len(nodes)
-        nodes.append(None)
-        if isinstance(ref, tuple):
-            f, thr, left, right = ref
-            nodes[i] = (f, thr, visit(left), visit(right), 0.0)
-        else:
-            nodes[i] = (-1, 0.0, -1, -1, ref)
-        return i
-    visit(ref)
-    return _Tree(*zip(*nodes))
+def tree_of(refs):
+    """The node counts and node table of trees in reference_tree's form,
+    each tree's nodes breadth-first."""
+    sizes, nodes = [], []
+    for ref in refs:
+        order = [ref]
+        for sub in order:   # visits the subtrees appended as it goes
+            if isinstance(sub, tuple):
+                order += sub[2:]
+        sizes.append(len(order))
+        nodes += [(sub[0], sub[1], 0.0) if isinstance(sub, tuple)
+                  else (-1, 0.0, sub) for sub in order]
+    return np.array(sizes), _Tree(*zip(*nodes))
 
 
 # trees in reference_tree's form on three features, with half-integer
@@ -837,7 +837,7 @@ def test_flat_walk_matches_per_tree_reference_on_hand_built_trees(
     """Trees of any depth, however deep the model's max_depth param says
     they are, with the rows split over blocks of at most entries."""
     model = RandomForestRegressor(max_depth=1)
-    model.trees_ = [tree_of(ref) for ref in refs]
+    model._sizes, model._nodes = tree_of(refs)
     model.n_features_ = 3
     X = np.array(rows, dtype=float).reshape(-1, 3)
     with pytest.MonkeyPatch.context() as patch:
@@ -869,6 +869,60 @@ def test_flat_walk_matches_per_tree_reference(problem, max_depth, seed,
     for t, tree in enumerate(model.trees_):
         ref = reference_of(tree)
         assert list(got[t]) == [reference_predict(ref, x) for x in grid]
+
+
+def reference_walk_accepts(flags):
+    """Whether a walk from the root, giving the split with k splits before
+    it children 2k + 1 and 2k + 2, reaches every node of a tree of these
+    split flags once, without revisiting one or stepping past the end."""
+    seen, todo = set(), [0]
+    while todo:
+        node = todo.pop()
+        if node in seen or node >= len(flags):
+            return False
+        seen.add(node)
+        if flags[node]:
+            k = sum(flags[:node])
+            todo += [2 * k + 1, 2 * k + 2]
+    return len(seen) == len(flags)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees=st.lists(st.lists(st.tuples(st.booleans(), finite), min_size=1,
+                               max_size=9), min_size=1, max_size=3))
+@example(trees=[[(False, 1.0), (True, 0.5), (False, 2.0)]])   # a self-loop
+@example(trees=[[(True, 0.5), (False, 1.0)]])   # the counts do not fit
+@example(trees=[[(True, 0.5), (False, 1.0), (True, -2.0), (False, 3.0),
+                 (False, 4.0)], [(False, 5.0)]])
+def test_load_accepts_the_split_flags_a_walk_accepts(trees):
+    """load_forest takes a model file's trees exactly when a walk of every
+    tree's split flags reaches each node once."""
+    nodes = [node for tree in trees for node in tree]
+    split = np.array([flag for flag, _ in nodes], dtype=bool)
+    number = np.array([x for _, x in nodes])
+    model = RandomForestRegressor()
+    model._sizes = np.array([len(tree) for tree in trees])
+    model._nodes = _Tree(np.where(split, 0, -1), np.where(split, number, 0.0),
+                         np.where(split, 0.0, number))
+    model.n_features_ = 1
+    model.feature_importances_ = np.ones(1)
+    want = all(reference_walk_accepts([flag for flag, _ in tree])
+               for tree in trees)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        forest.save_forest(model, path, ["x"])
+        try:
+            back = forest.load_forest(path)
+        except forest.ForestError as exc:
+            assert not want, exc
+            assert "before its children" in str(exc) or "twice" in str(exc)
+            return
+    assert want
+    assert np.array_equal(back._predict_matrix(np.zeros((1, 1))),
+                          model._predict_matrix(np.zeros((1, 1))))
 
 
 def reference_generate(profile, duration_s, seed, session_id=None,
